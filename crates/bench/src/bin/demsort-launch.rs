@@ -4,7 +4,7 @@
 //! ```text
 //! demsort-launch [--ranks P] [--mem-mib M] [--block-kib K] [--disks D]
 //!                [--seed S] [--comm-timeout MS] [--cores C]
-//!                [--worker-bin PATH] INPUT OUTPUT
+//!                [--worker-bin PATH] [--scratch DIR] INPUT OUTPUT
 //! ```
 //!
 //! Spawns `P` `demsort-worker` processes, rendezvouses them over a
@@ -12,6 +12,11 @@
 //! per-rank reports. The workers run the identical SPMD code path as
 //! `sortfile`'s in-process cluster — same algorithms, same counters —
 //! so the two modes are directly comparable.
+//!
+//! Each rank keeps its runs in files under a per-job directory the
+//! launcher makes in `--scratch DIR` (default: OUTPUT's directory, which
+//! then needs room for about the input's size) and removes after every
+//! outcome. Each worker prints its peak RSS as `rank K: peak RSS X MiB`.
 //!
 //! On failure the exit code is non-zero and the error names the failed
 //! rank(s): a rank that died without reporting (crash, SIGKILL) leads

@@ -6,7 +6,7 @@
 //!                [--mem-mib M] [--block-kib K] [--disks D]
 //!                [--cores C] [--seed S] [--comm-timeout MS]
 //!                [--algo canonical|striped] [--replication F]
-//!                [--trace DIR]
+//!                [--trace DIR] [--scratch DIR]
 //! ```
 //!
 //! In **coordinator mode** the worker dials `demsort-launch`'s
@@ -16,14 +16,20 @@
 //! In **hostfile mode** (multi-host, no coordinator) the worker binds
 //! the address at line `R` of the host file, meshes with the other
 //! listed ranks, and takes the job config from flags — every rank must
-//! be started with identical flags.
+//! be started with identical flags. Its scratch files go in
+//! `<--scratch DIR>/rank<R>/` (default: the output file's directory),
+//! which the worker removes when it exits; a killed worker leaves it
+//! behind.
+//!
+//! On exit the worker prints its peak RSS (`VmHWM`) on stderr as
+//! `rank R: peak RSS X MiB`.
 //!
 //! `--comm-timeout MS` (legacy alias `--timeout-ms`) bounds how long a
 //! rank waits on a silent peer before declaring the job dead; a worker
 //! whose sort fails exits non-zero after reporting a structured failure
 //! to its coordinator (fallible collectives — no `catch_unwind`).
 
-use demsort_bench::procs::{run_rank, run_worker};
+use demsort_bench::procs::{print_peak_rss, run_rank, run_worker};
 use demsort_net::tcp::parse_hostfile;
 use demsort_types::{AlgoConfig, JobConfig, MachineConfig, SortAlgo, Tracer};
 use std::net::TcpListener;
@@ -43,6 +49,7 @@ fn main() {
     let mut algorithm = SortAlgo::Canonical;
     let mut replication = 0usize;
     let mut trace_dir: Option<String> = None;
+    let mut scratch_dir = String::new();
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -64,6 +71,7 @@ fn main() {
             }
             "--replication" => replication = parse(&next("--replication"), "replication"),
             "--trace" => trace_dir = Some(next("--trace")),
+            "--scratch" => scratch_dir = next("--scratch"),
             "--help" | "-h" => {
                 println!(
                     "demsort-worker --coordinator HOST:PORT\n\
@@ -71,7 +79,7 @@ fn main() {
                      \x20              [--mem-mib M] [--block-kib K] [--disks D]\n\
                      \x20              [--cores C] [--seed S] [--comm-timeout MS]\n\
                      \x20              [--algo canonical|striped] [--replication F]\n\
-                     \x20              [--trace DIR]"
+                     \x20              [--trace DIR] [--scratch DIR]"
                 );
                 return;
             }
@@ -112,6 +120,7 @@ fn main() {
                 algorithm,
                 read_timeout_ms: timeout_ms,
                 trace_dir: trace_dir.unwrap_or_default(),
+                scratch_dir,
             };
             // No coordinator to stream progress to in hostfile mode —
             // journals only.
@@ -124,7 +133,9 @@ fn main() {
                 Tracer::to_path(rank, &dir.join(format!("rank{rank}.jsonl")))
                     .unwrap_or_else(|e| die(&e.to_string()))
             };
-            run_rank(rank, &addrs, listener, &job, tracer)
+            let result = run_rank(rank, &addrs, listener, &job, tracer);
+            print_peak_rss(rank);
+            result
         }
         _ => die("exactly one of --coordinator or --hostfile is required (see --help)"),
     };

@@ -4,12 +4,17 @@
 //! sortfile [--transport local|tcp] [--algo canonical|striped]
 //!          [--pes P] [--mem-mib M] [--block-kib K] [--disks D]
 //!          [--seed S] [--comm-timeout MS] [--cores C]
-//!          [--worker-bin PATH] INPUT OUTPUT
+//!          [--worker-bin PATH] [--scratch DIR] INPUT OUTPUT
 //! ```
 //!
 //! The file is split evenly over `P` PEs and sorted; OUTPUT is
-//! globally sorted either way. `--mem-mib` bounds each PE's memory, so
-//! files much larger than `P × M` are sorted genuinely externally.
+//! globally sorted either way. `--mem-mib` bounds each PE's sort
+//! memory. With `--transport tcp` (and in `demsort-launch`) every rank
+//! keeps its runs in files under `--scratch DIR` (default: OUTPUT's
+//! directory), so files much larger than `P × M` are sorted genuinely
+//! externally. `--transport local` keeps every PE's blocks in RAM: it
+//! is the in-process cluster for experiments, not a RAM-bounded
+//! sorter, and it ignores `--scratch`.
 //!
 //! `--algo` selects the paper's algorithm: `canonical`
 //! (CANONICALMERGESORT, Section IV — per-PE outputs concatenate into
@@ -28,9 +33,9 @@
 
 use demsort_bench::procs::{launch_and_report, TcpJobCli};
 use demsort_core::canonical::sort_cluster;
-use demsort_core::recio::read_records;
+use demsort_core::recio::read_record_blocks;
 use demsort_core::striped::{read_striped_blocks, striped_sort_cluster};
-use demsort_types::{Record as _, Record100, SortAlgo, SortConfig};
+use demsort_types::{Error, Record as _, Record100, SortAlgo, SortConfig};
 use std::io::{Read, Seek, SeekFrom, Write};
 
 fn main() {
@@ -117,18 +122,17 @@ fn sort_local(cfg: SortConfig, input: &str, output: &str) {
         std::process::exit(1);
     });
 
-    // Concatenate the canonical outputs: globally sorted by key.
+    // Concatenate the canonical outputs, block by block: globally
+    // sorted by key.
     let out =
         std::fs::File::create(output).unwrap_or_else(|e| die(&format!("create {output}: {e}")));
     let mut out = std::io::BufWriter::new(out);
-    let mut buf = vec![0u8; Record100::BYTES];
     for (pe, o) in outcome.per_pe.iter().enumerate() {
-        let recs = read_records::<Record100>(outcome.storage.pe(pe), &o.output.run, o.output.elems)
-            .expect("read output");
-        for rec in recs {
-            rec.encode(&mut buf);
-            out.write_all(&buf).expect("write");
-        }
+        let st = outcome.storage.pe(pe);
+        read_record_blocks::<Record100>(st, &o.output.run, o.output.elems, |b| {
+            out.write_all(b).map_err(|e| Error::io(format!("write {output}: {e}")))
+        })
+        .unwrap_or_else(|e| die(&e.to_string()));
     }
     out.flush().expect("flush");
     eprintln!(
@@ -163,7 +167,7 @@ fn sort_local_striped(cfg: SortConfig, input: &str, output: &str) {
         std::fs::File::create(output).unwrap_or_else(|e| die(&format!("create {output}: {e}")));
     let mut out = std::io::BufWriter::new(out);
     read_striped_blocks(&outcome.storage, run, Record100::BYTES, |bytes| {
-        out.write_all(bytes).map_err(|e| demsort_types::Error::io(format!("write {output}: {e}")))
+        out.write_all(bytes).map_err(|e| Error::io(format!("write {output}: {e}")))
     })
     .unwrap_or_else(|e| die(&e.to_string()));
     out.flush().expect("flush");

@@ -46,18 +46,31 @@
 //! host file (`demsort-worker --hostfile`), each binding its listed
 //! address — the multi-host path, where the job config comes from
 //! flags instead of the wire.
+//!
+//! ## Scratch files
+//!
+//! Every rank keeps its blocks in a [`FileBackend`]: one file per disk
+//! under `<scratch>/rank<K>/`, so a worker's memory is bounded by its
+//! `--mem-mib` budget plus the buffer pool, not by its shard. The
+//! launcher creates one fresh per-job directory `demsort-<pid>-<n>/`
+//! under [`JobConfig::scratch_base`] (`--scratch DIR`, default the
+//! output file's directory), ships it as the job's scratch directory,
+//! and removes it after every outcome, a SIGKILLed worker included. A
+//! worker removes its own scratch files when it exits; in hostfile
+//! mode, where there is no launcher, `rank<K>/` sits directly under the
+//! scratch base, and a killed worker leaves it behind.
 
 use demsort_core::canonical::canonical_mergesort;
 use demsort_core::ctx::{
     assemble_report, BlockFetch, BlockStore, ClusterStorage, PendingBlock, PendingStore,
     RemoteBlockService,
 };
-use demsort_core::recio::read_records;
-use demsort_core::runform::{ingest_input, LocalInput};
+use demsort_core::recio::read_record_blocks;
+use demsort_core::runform::{ingest_stream, LocalInput};
 use demsort_core::striped::{striped_mergesort_resilient, ResilientHooks};
 use demsort_net::tcp::{bind_loopback, TcpOptions, TcpTransport, WireFetch, WireStore};
 use demsort_net::{Communicator, SubTransport, Transport as _};
-use demsort_storage::{BlockId, DiskModel, MemBackend, PeStorage};
+use demsort_storage::{BlockId, DiskModel, FileBackend, PeStorage};
 use demsort_types::wire::{
     decode_job, decode_progress, decode_rank_report, encode_job, encode_progress,
     encode_rank_report, RankReport, WireReader, WireWriter,
@@ -68,7 +81,8 @@ use demsort_types::{
 };
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -238,7 +252,9 @@ pub fn run_worker(coordinator: &str) -> Result<RankReport> {
     // Run the rank. Errors (a dead peer surfacing as Error::Comm from
     // a collective, storage faults, bad input) come back as plain
     // Results — the panic-translating unwind shim is gone.
-    match run_rank(rank, &addrs, listener, &job, tracer) {
+    let result = run_rank(rank, &addrs, listener, &job, tracer);
+    print_peak_rss(rank);
+    match result {
         Ok(report) => {
             write_msg(&mut ctrl, TAG_REPORT, &encode_rank_report(&report))?;
             Ok(report)
@@ -282,20 +298,25 @@ pub fn run_rank(
     let tcp = TcpTransport::connect_mesh(rank, addrs, listener, opts)?;
     tcp.set_tracer(tracer.clone());
 
-    // One rank's storage: same in-memory multi-disk engine as the
-    // in-process cluster, so counters are comparable run-for-run. The
-    // block-buffer pool is shared with the transport so wire frames
-    // recycle the same buffers the disk path uses.
+    // One rank's storage: the same multi-disk engine as the in-process
+    // cluster, so counters are comparable run-for-run, but over files
+    // in this rank's scratch directory, so the shard and its runs live
+    // on disk, not in RAM. The block-buffer pool is shared with the
+    // transport so wire frames recycle the same buffers the disk path
+    // uses.
+    let disks = job.machine.disks_per_pe;
+    let scratch = RankScratch { dir: job.scratch_base().join(format!("rank{rank}")), disks };
+    let backend = FileBackend::create(&scratch.dir, disks, job.machine.block_bytes)?;
     let pool = demsort_types::BufferPool::new(
         job.machine.block_bytes,
         job.algo.effective_pool_blocks(&job.machine),
     );
     tcp.set_buffer_pool(pool.clone());
     let st = PeStorage::with_backend_pool(
-        job.machine.disks_per_pe,
+        disks,
         job.machine.block_bytes,
         DiskModel::paper(),
-        Arc::new(MemBackend::new(job.machine.disks_per_pe)),
+        Arc::new(backend),
         pool,
     );
     let storage = ClusterStorage::single_traced(
@@ -343,7 +364,7 @@ pub fn run_rank(
     }));
     let _handler_guard = HandlerGuard(tcp.clone());
 
-    // Load this rank's contiguous shard of the input.
+    // Stream this rank's contiguous shard of the input onto its disks.
     let meta =
         std::fs::metadata(&job.input).map_err(|e| Error::io(format!("stat {}: {e}", job.input)))?;
     if meta.len() % Record100::BYTES as u64 != 0 {
@@ -354,18 +375,13 @@ pub fn run_rank(
     let mut f = std::fs::File::open(&job.input)
         .map_err(|e| Error::io(format!("open {}: {e}", job.input)))?;
     f.seek(SeekFrom::Start(shard.start * Record100::BYTES as u64))?;
-    let mut bytes = vec![0u8; (shard.end - shard.start) as usize * Record100::BYTES];
-    f.read_exact(&mut bytes)?;
-    let mut recs = Vec::with_capacity((shard.end - shard.start) as usize);
-    Record100::decode_slice(&bytes, &mut recs);
-    drop(bytes);
+    let input = ingest_stream::<Record100>(storage.pe(rank), &mut f, shard.end - shard.start)?;
+    drop(f);
 
     // The SPMD sort — identical code path to the in-process cluster.
     let mut comm = Communicator::new(Box::new(tcp.clone()));
     comm.set_tracer(tracer.clone());
     let cfg = SortConfig::new(job.machine.clone(), job.algo.clone())?;
-    let input = ingest_input(storage.pe(rank), &recs)?;
-    drop(recs);
     let report = match job.algorithm {
         SortAlgo::Canonical => {
             run_canonical_rank(rank, total_records, &comm, &storage, &cfg, input, job)?
@@ -394,6 +410,45 @@ pub fn run_rank(
     // verify: allow(L2, Tracer::flush is infallible and returns unit — journal write errors are swallowed by design)
     tracer.flush();
     Ok(report)
+}
+
+/// One rank's scratch directory `<scratch>/rank<K>/`, holding the
+/// [`FileBackend`]'s disk files. Dropping it removes those files and
+/// then the directory if nothing else is left in it, so a rank never
+/// deletes anything it did not create. Open files stay readable once
+/// unlinked, so the drop order against the storage does not matter.
+struct RankScratch {
+    dir: PathBuf,
+    disks: usize,
+}
+
+impl Drop for RankScratch {
+    fn drop(&mut self) {
+        for i in 0..self.disks {
+            let _ = std::fs::remove_file(FileBackend::disk_path(&self.dir, i));
+        }
+        let _ = std::fs::remove_dir(&self.dir);
+    }
+}
+
+/// This process's peak resident set size in MiB: `VmHWM` from
+/// `/proc/self/status`, `None` where procfs is unavailable.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib / 1024.0)
+}
+
+/// Print `rank K: peak RSS X MiB` on stderr, the worker's exit line
+/// for its memory bound (nothing where procfs is unavailable). One
+/// `write` call, so ranks sharing the launcher's stderr cannot split
+/// the line.
+pub fn print_peak_rss(rank: usize) {
+    if let Some(mib) = peak_rss_mib() {
+        let line = format!("rank {rank}: peak RSS {mib:.1} MiB\n");
+        let _ = std::io::stderr().write_all(line.as_bytes());
+    }
 }
 
 /// Open the shared output file for this rank's writes and size it to
@@ -432,20 +487,15 @@ fn run_canonical_rank(
     let outcome =
         canonical_mergesort::<Record100>(comm, storage, cfg, input, job.machine.cores_per_pe)?;
 
-    let out_recs =
-        read_records::<Record100>(storage.pe(rank), &outcome.output.run, outcome.output.elems)?;
+    // Stream the output run into this rank's slice, block by block.
     let own = ranks::owned_range(rank, comm.size(), total_records);
-    debug_assert_eq!(out_recs.len() as u64, own.end - own.start);
+    debug_assert_eq!(outcome.output.elems, own.end - own.start);
     let mut out = open_sized_output(&job.output, total_records)?;
     out.seek(SeekFrom::Start(own.start * Record100::BYTES as u64))?;
-    let mut writer = std::io::BufWriter::new(&mut out);
-    let mut buf = vec![0u8; Record100::BYTES];
-    for rec in &out_recs {
-        rec.encode(&mut buf);
-        writer.write_all(&buf)?;
-    }
-    writer.flush()?;
-    drop(writer);
+    let (run, elems) = (&outcome.output.run, outcome.output.elems);
+    read_record_blocks::<Record100>(storage.pe(rank), run, elems, |bytes| {
+        out.write_all(bytes).map_err(|e| Error::io(format!("write {}: {e}", job.output)))
+    })?;
 
     Ok(RankReport {
         rank,
@@ -700,13 +750,46 @@ fn classify_report(rank: usize, body: &[u8]) -> RankOutcome {
 /// shipped. Used directly by failure-injection tests (which kill a
 /// worker mid-sort) and by [`launch`] (which immediately collects).
 ///
-/// Dropping the control kills and reaps any children not yet reaped.
+/// Dropping the control kills and reaps any children not yet reaped,
+/// then removes the job's scratch directory.
 pub struct LaunchControl {
     children: Vec<std::process::Child>,
     conns: Vec<TcpStream>,
     /// OS pid per rank (reported in each worker's JOIN).
     pids: Vec<u32>,
     collect_deadline: Instant,
+    scratch: Option<JobScratch>,
+}
+
+/// The launcher's per-job scratch directory `<base>/demsort-<pid>-<n>/`.
+/// It is always a fresh directory, never an existing one, so removing
+/// it with everything in it is safe; the workers write their `rank<K>/`
+/// directories under it.
+struct JobScratch(PathBuf);
+
+impl JobScratch {
+    fn create(base: &Path) -> Result<Self> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let fail = |dir: &Path, e: std::io::Error| {
+            Error::io(format!("create scratch directory {}: {e}", dir.display()))
+        };
+        std::fs::create_dir_all(base).map_err(|e| fail(base, e))?;
+        loop {
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let dir = base.join(format!("demsort-{}-{n}", std::process::id()));
+            match std::fs::create_dir(&dir) {
+                Ok(()) => return Ok(Self(dir)),
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+                Err(e) => return Err(fail(&dir, e)),
+            }
+        }
+    }
+}
+
+impl Drop for JobScratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 impl LaunchControl {
@@ -846,6 +929,8 @@ impl Drop for LaunchControl {
             // verify: allow(L2, reaping an already-killed child in Drop — the exit status is meaningless here)
             let _ = c.wait();
         }
+        // The workers are gone, so their scratch files can go too.
+        drop(self.scratch.take());
     }
 }
 
@@ -930,6 +1015,11 @@ pub fn launch_workers_env(
     out.set_len(in_len).map_err(|e| Error::io(format!("size {}: {e}", job.output)))?;
     drop(out);
 
+    // The workers' scratch files go in a fresh per-job directory.
+    let scratch = JobScratch::create(&job.scratch_base())?;
+    let mut shipped = job.clone();
+    shipped.scratch_dir = scratch.0.to_string_lossy().into_owned();
+
     let coordinator = TcpListener::bind("127.0.0.1:0")
         .map_err(|e| Error::comm(format!("bind coordinator: {e}")))?;
     let coord_addr = coordinator.local_addr().map_err(|e| Error::comm(e.to_string()))?;
@@ -949,6 +1039,7 @@ pub fn launch_workers_env(
             + Duration::from_millis(job.read_timeout_ms)
                 .saturating_mul(20)
                 .max(Duration::from_secs(300)),
+        scratch: Some(scratch),
     };
     for _ in 0..p {
         let child = std::process::Command::new(worker_bin)
@@ -960,7 +1051,7 @@ pub fn launch_workers_env(
         ctl.children.push(child);
     }
 
-    rendezvous(job, &coordinator, p, &mut ctl)?;
+    rendezvous(&shipped, &coordinator, p, &mut ctl)?;
     Ok(ctl)
 }
 
@@ -1083,6 +1174,10 @@ pub struct TcpJobCli {
     /// JSONL event journal `rank<K>.jsonl` under it and streams live
     /// progress frames to the launcher. Empty/`None` disables tracing.
     pub trace_dir: Option<String>,
+    /// Scratch directory (`--scratch DIR`) under which the launcher
+    /// makes the job's directory of per-rank scratch files; `None`
+    /// means the output file's directory ([`JobConfig::scratch_base`]).
+    pub scratch_dir: Option<String>,
 }
 
 impl Default for TcpJobCli {
@@ -1100,6 +1195,7 @@ impl Default for TcpJobCli {
             pool_blocks: 0,
             worker_bin: None,
             trace_dir: None,
+            scratch_dir: None,
         }
     }
 }
@@ -1122,7 +1218,9 @@ impl TcpJobCli {
          from --mem-mib)\n  \
          --worker-bin PATH explicit demsort-worker binary\n  \
          --trace DIR       write per-rank JSONL event journals under DIR and stream live \
-         progress";
+         progress\n  \
+         --scratch DIR     directory for the ranks' scratch files, which need about the input's \
+         size (default: the output file's directory)";
 
     /// Consume `flag` if it is one of the shared job flags (pulling its
     /// value from `args`); returns `false` for flags the bin must
@@ -1153,6 +1251,7 @@ impl TcpJobCli {
             "--pool-blocks" => self.pool_blocks = cli_parse(bin, &next(flag), "pool-blocks"),
             "--worker-bin" => self.worker_bin = Some(next(flag)),
             "--trace" => self.trace_dir = Some(next(flag)),
+            "--scratch" => self.scratch_dir = Some(next(flag)),
             _ => return false,
         }
         true
@@ -1191,6 +1290,7 @@ impl TcpJobCli {
             algorithm: self.algorithm,
             read_timeout_ms: self.comm_timeout_ms,
             trace_dir: self.trace_dir.clone().unwrap_or_default(),
+            scratch_dir: self.scratch_dir.clone().unwrap_or_default(),
         }
     }
 
@@ -1293,6 +1393,7 @@ mod tests {
             conns,
             pids: vec![0; n],
             collect_deadline: Instant::now() + Duration::from_secs(30),
+            scratch: None,
         };
 
         let report = |rank: usize| RankReport {
@@ -1358,6 +1459,7 @@ mod tests {
             algorithm: SortAlgo::default(),
             read_timeout_ms: 1000,
             trace_dir: String::new(),
+            scratch_dir: String::new(),
         };
         // Rejected before any worker spawns (the bogus worker path is
         // never exercised) and before the output truncate.
@@ -1379,6 +1481,7 @@ mod tests {
             algorithm: SortAlgo::default(),
             read_timeout_ms: 1000,
             trace_dir: String::new(),
+            scratch_dir: String::new(),
         };
         let err = run_rank(0, &[], listener, &job, Tracer::off()).expect_err("empty address table");
         assert!(err.to_string().contains("address table"), "{err}");
@@ -1394,6 +1497,7 @@ mod tests {
             algorithm: SortAlgo::default(),
             read_timeout_ms: 1000,
             trace_dir: String::new(),
+            scratch_dir: String::new(),
         };
         let outcomes = vec![
             RankOutcome::Failed("communication error: recv from rank 1: timed out".into()),
@@ -1432,6 +1536,8 @@ mod tests {
             "2",
             "--pool-blocks",
             "12",
+            "--scratch",
+            "/big/disk",
         ]
         .iter()
         .map(|s| s.to_string());
@@ -1451,6 +1557,8 @@ mod tests {
         assert_eq!(job.machine.cores_per_pe, 2, "--cores overrides the derived default");
         assert_eq!(job.algo.pool_blocks, 12, "--pool-blocks reaches the algo config");
         assert_eq!(job.algo.effective_pool_blocks(&job.machine), 12);
+        assert_eq!(job.scratch_dir, "/big/disk");
+        assert_eq!(TcpJobCli::default().job("a", "/out/b").scratch_base(), Path::new("/out"));
         // Without --cores the default splits the host over the ranks.
         let derived = TcpJobCli { ranks: 3, ..TcpJobCli::default() }.machine().cores_per_pe;
         let host = std::thread::available_parallelism().map_or(1, |c| c.get());

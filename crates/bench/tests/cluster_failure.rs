@@ -16,6 +16,10 @@
 //! to their buddy-rank replicas and produces output byte-identical to
 //! an undisturbed run (second test).
 //!
+//! Both tests also pin the scratch contract: the launcher removes the
+//! job's scratch directory after every outcome, so not even a
+//! SIGKILLed worker's files survive it.
+//!
 //! Cargo builds the real `demsort-worker` binary for this test and
 //! exposes its path via `CARGO_BIN_EXE_demsort-worker`.
 
@@ -40,6 +44,14 @@ fn tmp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("demsort-cluster-failure-{}-{name}", std::process::id()))
 }
 
+/// The job directories the launcher has made under `scratch`.
+fn job_dirs(scratch: &Path) -> Vec<PathBuf> {
+    std::fs::read_dir(scratch)
+        .expect("read scratch dir")
+        .map(|e| e.expect("entry").path())
+        .collect()
+}
+
 fn write_gensort_input(path: &Path) {
     let mut f = std::io::BufWriter::new(std::fs::File::create(path).expect("create input"));
     let mut buf = vec![0u8; Record100::BYTES];
@@ -54,6 +66,7 @@ fn write_gensort_input(path: &Path) {
 fn sigkill_mid_sort_fails_every_survivor_cleanly_and_names_the_dead_rank() {
     let input = tmp_path("input.dat");
     let output = tmp_path("out.dat");
+    let scratch = tmp_path("scratch");
     write_gensort_input(&input);
 
     let job = JobConfig {
@@ -70,6 +83,7 @@ fn sigkill_mid_sort_fails_every_survivor_cleanly_and_names_the_dead_rank() {
         algorithm: SortAlgo::default(),
         read_timeout_ms: COMM_TIMEOUT_MS,
         trace_dir: String::new(),
+        scratch_dir: scratch.to_string_lossy().into_owned(),
     };
     let worker = PathBuf::from(env!("CARGO_BIN_EXE_demsort-worker"));
 
@@ -130,6 +144,8 @@ fn sigkill_mid_sort_fails_every_survivor_cleanly_and_names_the_dead_rank() {
     );
 
     drop(ctl); // reaps the surviving workers
+    assert_eq!(job_dirs(&scratch), Vec::<PathBuf>::new(), "no scratch directory remains");
+    let _ = std::fs::remove_dir(&scratch);
     for p in [&input, &output] {
         let _ = std::fs::remove_file(p);
     }
@@ -146,6 +162,7 @@ fn sigkill_mid_merge_with_replication_survivors_finish_byte_identical() {
     let input = tmp_path("repl-input.dat");
     let output_ref = tmp_path("repl-out-ref.dat");
     let output = tmp_path("repl-out.dat");
+    let scratch = tmp_path("repl-scratch");
     write_gensort_input(&input);
 
     let algo = AlgoConfig { replication: 1, ..AlgoConfig::default() };
@@ -163,6 +180,7 @@ fn sigkill_mid_merge_with_replication_survivors_finish_byte_identical() {
         algorithm: SortAlgo::Striped,
         read_timeout_ms: COMM_TIMEOUT_MS,
         trace_dir: String::new(),
+        scratch_dir: scratch.to_string_lossy().into_owned(),
     };
     let worker = PathBuf::from(env!("CARGO_BIN_EXE_demsort-worker"));
 
@@ -172,6 +190,7 @@ fn sigkill_mid_merge_with_replication_survivors_finish_byte_identical() {
     assert_eq!(reference.report.elements as usize, RECORDS);
     let ref_bytes = std::fs::read(&output_ref).expect("read reference output");
     assert_eq!(ref_bytes.len(), RECORDS * Record100::BYTES);
+    assert_eq!(job_dirs(&scratch), Vec::<PathBuf>::new(), "a finished launch leaves no scratch");
 
     // Failure run: arm the merge-start harness so every rank drops a
     // marker file when it reaches the merge phase and then stalls,
@@ -232,7 +251,15 @@ fn sigkill_mid_merge_with_replication_survivors_finish_byte_identical() {
     }
     assert_eq!(out_bytes, ref_bytes, "degraded output must be byte-identical to undisturbed run");
 
+    // The survivors removed their own scratch files on exit; the killed
+    // rank's are still there until the launcher lets go of the job.
+    let jobs = job_dirs(&scratch);
+    assert_eq!(jobs.len(), 1, "one job directory: {jobs:?}");
+    let leftovers: Vec<_> = job_dirs(&jobs[0]);
+    assert_eq!(leftovers, [jobs[0].join(format!("rank{VICTIM}"))], "only the victim's files");
     drop(ctl);
+    assert_eq!(job_dirs(&scratch), Vec::<PathBuf>::new(), "no scratch directory remains");
+    let _ = std::fs::remove_dir(&scratch);
     let _ = std::fs::remove_dir_all(&marker_dir);
     for p in [&input, &output, &output_ref] {
         let _ = std::fs::remove_file(p);

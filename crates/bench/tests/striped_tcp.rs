@@ -110,6 +110,7 @@ fn four_rank_striped_tcp_launch_matches_in_process_run() {
         algorithm: SortAlgo::Striped,
         read_timeout_ms: 60_000,
         trace_dir: String::new(),
+        scratch_dir: String::new(),
     };
     let worker = PathBuf::from(env!("CARGO_BIN_EXE_demsort-worker"));
     let tcp = launch(&job, &worker).expect("striped tcp launch");
@@ -235,6 +236,7 @@ fn parallel_merge_cores_4_is_byte_identical_to_cores_1_on_both_transports() {
         algorithm: SortAlgo::Striped,
         read_timeout_ms: 60_000,
         trace_dir: String::new(),
+        scratch_dir: String::new(),
     };
     let worker = PathBuf::from(env!("CARGO_BIN_EXE_demsort-worker"));
     let tcp = launch(&job, &worker).expect("striped tcp launch (cores = 4)");

@@ -108,6 +108,7 @@ fn four_rank_tcp_launch_matches_in_process_run() {
         algorithm: SortAlgo::Canonical,
         read_timeout_ms: 60_000,
         trace_dir: String::new(),
+        scratch_dir: String::new(),
     };
     let worker = PathBuf::from(env!("CARGO_BIN_EXE_demsort-worker"));
     let tcp = launch(&job, &worker).expect("tcp launch");
@@ -183,6 +184,7 @@ fn launch_surfaces_worker_failure() {
         algorithm: SortAlgo::Canonical,
         read_timeout_ms: 10_000,
         trace_dir: String::new(),
+        scratch_dir: String::new(),
     };
     let worker = PathBuf::from(env!("CARGO_BIN_EXE_demsort-worker"));
     let err = launch(&job, &worker).expect_err("bad input must fail the launch");

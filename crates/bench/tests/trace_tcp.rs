@@ -66,6 +66,7 @@ fn four_rank_traced_run_produces_valid_journals() {
         algorithm: SortAlgo::Striped,
         read_timeout_ms: 60_000,
         trace_dir: trace_dir.to_string_lossy().into_owned(),
+        scratch_dir: String::new(),
     };
     let worker = PathBuf::from(env!("CARGO_BIN_EXE_demsort-worker"));
     let outcome = launch(&job, &worker).expect("traced striped tcp launch");

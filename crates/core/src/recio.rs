@@ -15,8 +15,8 @@
 //! * the **first key of every block** — the prediction sequence of
 //!   Section III / \[11\].
 
-use demsort_storage::{PeStorage, Run, RunWriter};
-use demsort_types::{Record, Result};
+use demsort_storage::{PeStorage, Run, RunReader, RunWriter};
+use demsort_types::{Error, Record, Result};
 use std::collections::VecDeque;
 
 /// Records per (full) block for record type `R`.
@@ -315,6 +315,31 @@ pub fn read_records<R: Record>(st: &PeStorage, run: &Run, elems: u64) -> Result<
     RecordRunReader::<R>::new(st, run.clone(), elems).read_to_vec()
 }
 
+/// Stream a record run of `elems` records into `sink` block by block,
+/// each call getting one block's valid encoded-record bytes, with the
+/// same read-ahead as [`RecordRunReader`]. Nothing is decoded and
+/// memory stays O(read-ahead · B) however long the run.
+pub fn read_record_blocks<R: Record>(
+    st: &PeStorage,
+    run: &Run,
+    elems: u64,
+    mut sink: impl FnMut(&[u8]) -> Result<()>,
+) -> Result<()> {
+    let rpb = records_per_block::<R>(st.block_bytes()) as u64;
+    let mut reader = RunReader::with_options(st, run.clone(), st.disks().max(2), false);
+    let mut left = elems;
+    while left > 0 {
+        let (block, _) = reader.next_block()?.ok_or_else(|| {
+            Error::io(format!("run of {} blocks ends {left} records short", run.blocks.len()))
+        })?;
+        let n = left.min(rpb);
+        sink(&block[..n as usize * R::BYTES])?;
+        st.pool().put(block);
+        left -= n;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,6 +375,29 @@ mod tests {
         let fr = write_records(&st, &recs).expect("write");
         assert_eq!(fr.run.blocks.len(), 3);
         assert_eq!(read_records::<Record100>(&st, &fr.run, 5).expect("read"), recs);
+    }
+
+    #[test]
+    fn block_stream_yields_the_valid_record_bytes() {
+        let st = storage(256); // 2 records per block
+        for n in [0u64, 2, 5] {
+            let recs: Vec<Record100> =
+                (0..n).map(|i| demsort_workloads::gensort_record(3, i)).collect();
+            let fr = write_records(&st, &recs).expect("write");
+            let mut got = Vec::new();
+            read_record_blocks::<Record100>(&st, &fr.run, fr.elems, |b| {
+                assert!(b.len() <= 2 * Record100::BYTES);
+                got.extend_from_slice(b);
+                Ok(())
+            })
+            .expect("stream");
+            let mut want = vec![0u8; recs.len() * Record100::BYTES];
+            Record100::encode_slice(&recs, &mut want);
+            assert_eq!(got, want, "{n} records");
+        }
+        let fr = write_records(&st, &elements(3)).expect("write");
+        let err = read_record_blocks::<Element16>(&st, &fr.run, 20, |_| Ok(())).expect_err("short");
+        assert!(err.to_string().contains("short"), "{err}");
     }
 
     #[test]

@@ -32,10 +32,11 @@ use crate::psort::{parallel_sort, parallel_sort_presorted};
 use crate::recio::{records_per_block, FinishedRun, RecordRunWriter};
 use crate::seqsort::sort_in_node;
 use demsort_net::Communicator;
-use demsort_storage::{PeStorage, Run};
-use demsort_types::{CpuCounters, Record, Result, SortConfig};
+use demsort_storage::{PeStorage, Run, RunWriter};
+use demsort_types::{CpuCounters, Error, Record, Result, SortConfig};
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
+use std::io::Read;
 
 /// This PE's on-disk input: a run of `elems` records.
 #[derive(Clone, Debug)]
@@ -225,14 +226,47 @@ pub fn ingest_input<R: Record>(st: &PeStorage, recs: &[R]) -> Result<LocalInput>
     Ok(LocalInput { run: fr.run, elems: fr.elems })
 }
 
+/// Write a PE's input of `elems` records straight from their encoded
+/// bytes in `src`: each block's worth is read into a pooled block
+/// buffer and written through the engine, with no decode/encode round
+/// trip, so memory stays O(write-behind · B) however large the shard.
+/// The blocks are exactly those [`ingest_input`] writes for the decoded
+/// records: record-aligned, with a zero-padded tail.
+pub fn ingest_stream<R: Record>(
+    st: &PeStorage,
+    src: &mut impl Read,
+    elems: u64,
+) -> Result<LocalInput> {
+    let rpb = records_per_block::<R>(st.block_bytes()) as u64;
+    let mut w = RunWriter::new(st);
+    let mut done = 0u64;
+    while done < elems {
+        let n = (elems - done).min(rpb) as usize;
+        // Recycled buffers keep old contents: zero the padding.
+        let mut block = st.pool().get();
+        let (recs, pad) = block.split_at_mut(n * R::BYTES);
+        src.read_exact(recs).map_err(|e| {
+            Error::io(format!("read input records {done}..{} of {elems}: {e}", done + n as u64))
+        })?;
+        pad.fill(0);
+        w.push_block(block)?;
+        done += n as u64;
+    }
+    Ok(LocalInput { run: w.finish()?, elems })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ctx::ClusterStorage;
     use crate::recio::read_records;
     use demsort_net::run_cluster;
-    use demsort_types::{AlgoConfig, Element16, MachineConfig};
+    use demsort_storage::{DiskModel, MemBackend};
+    use demsort_types::{AlgoConfig, Element16, MachineConfig, Record100};
     use demsort_workloads::{checksum_elements, generate_all, generate_pe_input, InputSpec};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use std::sync::Arc;
 
     fn config(pes: usize, randomize: bool, overlap: bool) -> SortConfig {
         let machine = MachineConfig::tiny(pes);
@@ -404,5 +438,58 @@ mod tests {
             rand_min > det_max,
             "randomized runs must span more bands: det {det:?} vs rand {rand:?}"
         );
+    }
+
+    /// Ingest `n` gensort records both ways — decoded through
+    /// [`ingest_input`] and streamed from their bytes through
+    /// [`ingest_stream`] — on fresh 3-disk storages with 256-byte
+    /// blocks (2 records and 56 bytes of padding per block).
+    fn ingest_both_ways(n: u64) -> std::result::Result<(), TestCaseError> {
+        let storage =
+            || PeStorage::with_backend(3, 256, DiskModel::paper(), Arc::new(MemBackend::new(3)));
+        let recs: Vec<Record100> =
+            (0..n).map(|i| demsort_workloads::gensort_record(5, i)).collect();
+        let mut bytes = vec![0u8; recs.len() * Record100::BYTES];
+        Record100::encode_slice(&recs, &mut bytes);
+        let (decoded, streamed) = (storage(), storage());
+        // Recycled pool buffers carry stale bytes: the padding must
+        // still come out zero.
+        decoded.pool().put(vec![0xAB; 256].into_boxed_slice());
+        streamed.pool().put(vec![0xAB; 256].into_boxed_slice());
+        let want = ingest_input(&decoded, &recs).expect("ingest_input");
+        let got = ingest_stream::<Record100>(&streamed, &mut &bytes[..], n).expect("stream");
+        prop_assert_eq!(got.elems, want.elems);
+        prop_assert_eq!(&got.run, &want.run, "same block ids, count and byte length");
+        for &id in &want.run.blocks {
+            let a = decoded.engine().read_sync(id).expect("read decoded");
+            let b = streamed.engine().read_sync(id).expect("read streamed");
+            prop_assert_eq!(a, b, "block {:?}", id);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn stream_ingest_matches_at_edge_lengths() {
+        // Empty shard, exactly one full block, a partial tail block.
+        for n in [0, 2, 5] {
+            ingest_both_ways(n).expect("streamed ingest equals ingest_input");
+        }
+    }
+
+    #[test]
+    fn stream_ingest_reports_a_short_source() {
+        let st = PeStorage::with_backend(2, 256, DiskModel::paper(), Arc::new(MemBackend::new(2)));
+        let bytes = vec![7u8; 3 * Record100::BYTES];
+        let err = ingest_stream::<Record100>(&st, &mut &bytes[..], 4).expect_err("one short");
+        assert!(err.to_string().contains("records 2..4 of 4"), "{err}");
+    }
+
+    proptest! {
+        /// For any shard length the streamed ingest writes the same
+        /// blocks, block count and record count as `ingest_input`.
+        #[test]
+        fn stream_ingest_matches_ingest_input(n in 0u64..64) {
+            ingest_both_ways(n)?;
+        }
     }
 }

@@ -4,14 +4,15 @@
 //!   default for experiments (the *timing* of a disk comes from the
 //!   [`DiskModel`](crate::disk::DiskModel), not the backend).
 //! * [`FileBackend`] — one file per simulated disk; real external
-//!   memory for runs larger than RAM.
+//!   memory for runs larger than RAM. Every `demsort-worker` rank keeps
+//!   its blocks in one.
 //! * [`FaultInjectingBackend`] — wraps another backend and fails the
 //!   n-th operation; used by failure-injection tests.
 
 use demsort_types::{Error, Result};
 use parking_lot::RwLock;
 use std::fs::{File, OpenOptions};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Abstract block store addressed by `(disk, slot)`.
@@ -112,21 +113,29 @@ pub struct FileBackend {
 }
 
 impl FileBackend {
-    /// Create (or truncate) `disks` backing files in `dir`.
+    /// Create (or truncate) `disks` backing files in `dir`, creating
+    /// `dir` if needed.
     pub fn create(dir: &Path, disks: usize, block_bytes: usize) -> Result<Self> {
-        std::fs::create_dir_all(dir)?;
+        std::fs::create_dir_all(dir)
+            .map_err(|e| Error::io(format!("create {}: {e}", dir.display())))?;
         let mut files = Vec::with_capacity(disks);
         for i in 0..disks {
-            let path = dir.join(format!("disk_{i}.bin"));
+            let path = Self::disk_path(dir, i);
             let f = OpenOptions::new()
                 .read(true)
                 .write(true)
                 .create(true)
                 .truncate(true)
-                .open(&path)?;
+                .open(&path)
+                .map_err(|e| Error::io(format!("create {}: {e}", path.display())))?;
             files.push(f);
         }
         Ok(Self { files, block_bytes })
+    }
+
+    /// The backing file of disk `disk` in `dir`.
+    pub fn disk_path(dir: &Path, disk: usize) -> PathBuf {
+        dir.join(format!("disk_{disk}.bin"))
     }
 }
 
@@ -247,7 +256,17 @@ mod tests {
         let mut out = vec![0u8; 64];
         b.read(1, 10, &mut out).expect("read");
         assert_eq!(out, vec![9u8; 64]);
+        assert!(FileBackend::disk_path(&dir, 1).is_file(), "disk 1 lives in disk_path");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn file_create_error_names_the_path() {
+        let file = std::env::temp_dir().join(format!("demsort-fb-file-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").expect("write");
+        let err = FileBackend::create(&file.join("sub"), 1, 64).err().expect("parent is a file");
+        assert!(err.to_string().contains(&file.display().to_string()), "{err}");
+        std::fs::remove_file(&file).ok();
     }
 
     #[test]

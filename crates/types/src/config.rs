@@ -321,6 +321,12 @@ pub struct JobConfig {
     /// `<trace_dir>/rank<K>.jsonl` and streams coarse progress frames
     /// to the launcher; the directory must exist on every worker host.
     pub trace_dir: String,
+    /// Directory for the ranks' scratch files (empty = the output
+    /// file's directory, see [`JobConfig::scratch_base`]). Each rank
+    /// keeps its run blocks in files under `<scratch_dir>/rank<K>/`, so
+    /// the directory must have room for about N bytes; a tmpfs would
+    /// put the runs back in RAM.
+    pub scratch_dir: String,
 }
 
 impl JobConfig {
@@ -349,6 +355,20 @@ impl JobConfig {
         }
         Ok(())
     }
+
+    /// The directory scratch files go under: [`scratch_dir`] if set,
+    /// else the output file's directory.
+    ///
+    /// [`scratch_dir`]: JobConfig::scratch_dir
+    pub fn scratch_base(&self) -> std::path::PathBuf {
+        if !self.scratch_dir.is_empty() {
+            return self.scratch_dir.clone().into();
+        }
+        match std::path::Path::new(&self.output).parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir.to_path_buf(),
+            _ => ".".into(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -365,8 +385,14 @@ mod tests {
             algorithm: SortAlgo::default(),
             read_timeout_ms: 1000,
             trace_dir: String::new(),
+            scratch_dir: String::new(),
         };
         job.validate().expect("valid");
+        assert_eq!(job.scratch_base(), std::path::Path::new("."), "bare output name");
+        job.output = "/data/sorted/out.dat".into();
+        assert_eq!(job.scratch_base(), std::path::Path::new("/data/sorted"));
+        job.scratch_dir = "/scratch".into();
+        assert_eq!(job.scratch_base(), std::path::Path::new("/scratch"));
         job.read_timeout_ms = 0;
         assert!(job.validate().is_err());
         job.read_timeout_ms = 1000;
@@ -435,6 +461,7 @@ mod tests {
             algorithm: SortAlgo::Striped,
             read_timeout_ms: 1000,
             trace_dir: String::new(),
+            scratch_dir: String::new(),
         };
         assert!(job.validate().is_err(), "2 replicas on 2 PEs");
         job.algo.replication = 1;
@@ -459,6 +486,7 @@ mod tests {
             algorithm: SortAlgo::Striped,
             read_timeout_ms: 1000,
             trace_dir: String::new(),
+            scratch_dir: String::new(),
         };
         assert!(matches!(job.validate(), Err(Error::Config(m)) if m.contains("pool_blocks")));
         job.algo.pool_blocks = 6;

@@ -209,6 +209,7 @@ pub fn encode_job(job: &JobConfig) -> Vec<u8> {
     w.u8(algo_tag(job.algorithm));
     w.u64(job.read_timeout_ms);
     w.string(&job.trace_dir);
+    w.string(&job.scratch_dir);
     w.finish()
 }
 
@@ -223,6 +224,7 @@ pub fn decode_job(buf: &[u8]) -> Result<JobConfig> {
         algorithm: algo_from_tag(r.u8()?)?,
         read_timeout_ms: r.u64()?,
         trace_dir: r.string()?,
+        scratch_dir: r.string()?,
     })
 }
 
@@ -533,6 +535,7 @@ mod tests {
             algorithm: SortAlgo::Striped,
             read_timeout_ms: 12_345,
             trace_dir: "/tmp/trace".to_string(),
+            scratch_dir: "/scratch/jobs".to_string(),
         };
         let decoded = decode_job(&encode_job(&job)).expect("decode");
         assert_eq!(decoded.input, job.input);
@@ -542,6 +545,7 @@ mod tests {
         assert_eq!(decoded.algorithm, SortAlgo::Striped);
         assert_eq!(decoded.read_timeout_ms, 12_345);
         assert_eq!(decoded.trace_dir, "/tmp/trace");
+        assert_eq!(decoded.scratch_dir, "/scratch/jobs");
     }
 
     #[test]
@@ -684,6 +688,7 @@ mod tests {
                 algorithm: SortAlgo::default(),
                 read_timeout_ms: 1234,
                 trace_dir: "/tmp/trace".into(),
+                scratch_dir: "/scratch".into(),
             }
         }
 
@@ -712,6 +717,33 @@ mod tests {
                 let _ = r.bytes();
                 let mut r = WireReader::new(&bytes);
                 while r.u64().is_ok() {}
+            }
+
+            /// Any job round-trips, whatever its paths hold (every
+            /// byte value maps to one char, so multi-byte UTF-8 is
+            /// covered too).
+            #[test]
+            fn job_roundtrips(
+                trace in prop::collection::vec(0u8..=255, 0..48),
+                scratch in prop::collection::vec(0u8..=255, 0..48),
+                seed in 0u64..=u64::MAX,
+                timeout in 1u64..=u64::MAX,
+            ) {
+                let text = |bytes: &[u8]| bytes.iter().map(|&b| char::from(b)).collect::<String>();
+                let mut job = job();
+                job.trace_dir = text(&trace);
+                job.scratch_dir = text(&scratch);
+                job.algo.seed = seed;
+                job.read_timeout_ms = timeout;
+                let back = decode_job(&encode_job(&job)).expect("roundtrip");
+                prop_assert_eq!(&back.trace_dir, &job.trace_dir);
+                prop_assert_eq!(&back.scratch_dir, &job.scratch_dir);
+                prop_assert_eq!(&back.input, &job.input);
+                prop_assert_eq!(&back.output, &job.output);
+                prop_assert_eq!(&back.machine, &job.machine);
+                prop_assert_eq!(&back.algo, &job.algo);
+                prop_assert_eq!(back.algorithm, job.algorithm);
+                prop_assert_eq!(back.read_timeout_ms, job.read_timeout_ms);
             }
 
             /// Every strict prefix of a valid encoding (a truncated
