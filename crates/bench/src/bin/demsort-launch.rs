@@ -2,16 +2,25 @@
 //! sort a file (the suite's `mpirun`).
 //!
 //! ```text
-//! demsort-launch [--ranks P] [--mem-mib M] [--block-kib K] [--disks D]
-//!                [--seed S] [--comm-timeout MS] [--cores C]
-//!                [--worker-bin PATH] [--scratch DIR] INPUT OUTPUT
+//! demsort-launch [--algo canonical|striped] [--ranks P] [--mem-mib M]
+//!                [--block-kib K] [--disks D] [--seed S] [--comm-timeout MS]
+//!                [--cores C] [--replication F] [--pool-blocks N]
+//!                [--worker-bin PATH] [--trace DIR] [--scratch DIR]
+//!                INPUT OUTPUT
 //! ```
+//!
+//! `--algo` selects the paper's algorithm: `canonical`
+//! (CANONICALMERGESORT, Section IV — the ranks' outputs concatenate
+//! into OUTPUT) or `striped` (mergesort with global striping, Section
+//! III — the globally striped blocks interleave into OUTPUT). Any other
+//! `-`-prefixed argument is rejected by name.
 //!
 //! Spawns `P` `demsort-worker` processes, rendezvouses them over a
 //! loopback coordinator port, distributes the job, and aggregates the
 //! per-rank reports. The workers run the identical SPMD code path as
-//! `sortfile`'s in-process cluster — same algorithms, same counters —
-//! so the two modes are directly comparable.
+//! the in-process reference cluster (`sort_cluster`,
+//! `striped_sort_cluster`) — same algorithms, same counters, same
+//! output bytes.
 //!
 //! Each rank keeps its runs in files under a per-job directory the
 //! launcher makes in `--scratch DIR` (default: OUTPUT's directory, which
@@ -22,7 +31,7 @@
 //! rank(s): a rank that died without reporting (crash, SIGKILL) leads
 //! the message, followed by surviving ranks' structured comm failures.
 
-use demsort_bench::procs::{launch_and_report, TcpJobCli};
+use demsort_bench::procs::{launch, TcpJobCli};
 
 fn main() {
     const BIN: &str = "demsort-launch";
@@ -39,6 +48,7 @@ fn main() {
                 println!("demsort-launch [flags] INPUT OUTPUT\n{}", TcpJobCli::FLAG_HELP);
                 return;
             }
+            other if other.starts_with('-') => die(&format!("unknown flag {other} (see --help)")),
             other => positional.push(other.to_string()),
         }
     }
@@ -48,7 +58,32 @@ fn main() {
 
     let job = cli.job(input, output);
     let worker = cli.worker(BIN);
-    launch_and_report(BIN, &job, &worker)
+    eprintln!(
+        "launching {} worker processes ({} each) via {}",
+        job.machine.pes,
+        demsort_types::fmtsize::fmt_bytes(job.machine.mem_bytes_per_pe as u64),
+        worker.display()
+    );
+    match launch(&job, &worker) {
+        Ok(outcome) => {
+            for rep in &outcome.per_rank {
+                eprintln!("  rank {}: {} records, {} runs", rep.rank, rep.elems, rep.runs);
+            }
+            eprintln!(
+                "done: {} records on {} ranks, {} runs, I/O volume {:.2} N, \
+                 communication {:.2} N",
+                outcome.report.elements,
+                job.machine.pes,
+                outcome.report.runs,
+                outcome.report.io_volume_over_n(),
+                outcome.report.comm_volume_over_n(),
+            );
+        }
+        Err(e) => {
+            eprintln!("{BIN}: {e}");
+            std::process::exit(1);
+        }
+    }
 }
 
 fn die(msg: &str) -> ! {

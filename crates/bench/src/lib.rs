@@ -42,10 +42,6 @@ pub struct ExpScale {
     pub data_bytes_per_pe: usize,
     /// Disks per PE (paper: 4).
     pub disks_per_pe: usize,
-    /// Intra-PE cores used by the algorithms *in the simulation* (1 —
-    /// host cores are busy simulating PEs; the cost model credits the
-    /// paper's 8).
-    pub sim_cores: usize,
     /// Bytes on the paper's cluster per simulated byte.
     pub scale: f64,
 }
@@ -57,7 +53,6 @@ impl Default for ExpScale {
             mem_bytes_per_pe: (1 << 10) * 2048,
             data_bytes_per_pe: (1 << 10) * 2048 * 25 / 4, // 6.25 m
             disks_per_pe: 4,
-            sim_cores: 1,
             scale: 8192.0,
         }
     }
@@ -79,19 +74,19 @@ impl ExpScale {
             mem_bytes_per_pe: 256 * 128,
             data_bytes_per_pe: 256 * 128 * 25 / 4,
             disks_per_pe: 4,
-            sim_cores: 1,
             scale: (100u64 << 30) as f64 / (256.0 * 128.0 * 25.0 / 4.0),
         }
     }
 
-    /// Machine config for `pes` PEs.
+    /// Machine config for `pes` PEs, one core each (host cores are
+    /// busy simulating PEs; the cost model credits the paper's 8).
     pub fn machine(&self, pes: usize) -> MachineConfig {
         MachineConfig {
             pes,
             disks_per_pe: self.disks_per_pe,
             block_bytes: self.block_bytes,
             mem_bytes_per_pe: self.mem_bytes_per_pe,
-            cores_per_pe: self.sim_cores,
+            cores_per_pe: 1,
         }
     }
 

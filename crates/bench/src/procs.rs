@@ -1056,7 +1056,7 @@ pub fn launch_workers_env(
 }
 
 /// Spawn, rendezvous, sort, collect: the whole multi-process launch
-/// (what `demsort-launch` and `sortfile --transport tcp` run).
+/// (what `demsort-launch` runs).
 ///
 /// # Errors
 /// Besides setup failures, the launch fails with an [`Error::Comm`]
@@ -1133,12 +1133,12 @@ fn rendezvous(
 // Shared CLI glue of the TCP job-building bins
 // -------------------------------------------------------------------
 
-/// The job-building flags shared by `demsort-launch` and
-/// `sortfile --transport tcp` (hoisted here so the two bins cannot
-/// drift): cluster shape, seed, comm timeout, worker binary.
+/// The job-building flags of `demsort-launch` (also parsed by the
+/// benchmark's traced runner, so the two cannot drift): cluster shape,
+/// seed, comm timeout, worker binary.
 #[derive(Clone, Debug)]
 pub struct TcpJobCli {
-    /// Number of worker processes / PEs (`--ranks` / `--pes`).
+    /// Number of worker processes / PEs (`--ranks`).
     pub ranks: usize,
     /// Memory per PE in MiB (`--mem-mib`).
     pub mem_mib: usize,
@@ -1203,7 +1203,7 @@ impl Default for TcpJobCli {
 impl TcpJobCli {
     /// Help text for the shared flags (one line per flag).
     pub const FLAG_HELP: &'static str =
-        "  --ranks P         worker processes / PEs (default 4; alias --pes)\n  \
+        "  --ranks P         worker processes / PEs (default 4)\n  \
          --mem-mib M       memory per PE in MiB (default 8)\n  \
          --block-kib K     block size in KiB (default 64)\n  \
          --disks D         disks per PE (default 4)\n  \
@@ -1234,7 +1234,7 @@ impl TcpJobCli {
         let mut next =
             |flag: &str| args.next().unwrap_or_else(|| cli_die(bin, &format!("{flag} VALUE")));
         match flag {
-            "--ranks" | "--pes" => self.ranks = cli_parse(bin, &next(flag), "ranks"),
+            "--ranks" => self.ranks = cli_parse(bin, &next(flag), "ranks"),
             "--mem-mib" => self.mem_mib = cli_parse(bin, &next(flag), "mem-mib"),
             "--block-kib" => self.block_kib = cli_parse(bin, &next(flag), "block-kib"),
             "--disks" => self.disks = cli_parse(bin, &next(flag), "disks"),
@@ -1300,39 +1300,6 @@ impl TcpJobCli {
         match &self.worker_bin {
             Some(p) => PathBuf::from(p),
             None => sibling_worker_bin().unwrap_or_else(|e| cli_die(bin, &e.to_string())),
-        }
-    }
-}
-
-/// Launch `job` with `worker`, print the per-rank and summary lines,
-/// and exit — non-zero (naming the failed rank) on any failure. The
-/// shared tail of `demsort-launch` and `sortfile --transport tcp`.
-pub fn launch_and_report(bin: &str, job: &JobConfig, worker: &std::path::Path) -> ! {
-    eprintln!(
-        "launching {} worker processes ({} each) via {}",
-        job.machine.pes,
-        demsort_types::fmtsize::fmt_bytes(job.machine.mem_bytes_per_pe as u64),
-        worker.display()
-    );
-    match launch(job, worker) {
-        Ok(outcome) => {
-            for rep in &outcome.per_rank {
-                eprintln!("  rank {}: {} records, {} runs", rep.rank, rep.elems, rep.runs);
-            }
-            eprintln!(
-                "done: {} records on {} ranks, {} runs, I/O volume {:.2} N, \
-                 communication {:.2} N",
-                outcome.report.elements,
-                job.machine.pes,
-                outcome.report.runs,
-                outcome.report.io_volume_over_n(),
-                outcome.report.comm_volume_over_n(),
-            );
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("{bin}: {e}");
-            std::process::exit(1);
         }
     }
 }

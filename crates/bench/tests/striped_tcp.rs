@@ -1,5 +1,5 @@
-//! Striped-mergesort multi-process acceptance test: `sortfile --algo
-//! striped --transport tcp`'s code path (4 real `demsort-worker`
+//! Striped-mergesort multi-process acceptance test: `demsort-launch
+//! --algo striped`'s code path (4 real `demsort-worker`
 //! processes over a loopback TCP mesh, each writing its own globally
 //! striped blocks into the shared output) must produce
 //! **byte-identical** output and **identical per-rank, per-phase comm
@@ -51,7 +51,8 @@ fn write_gensort_input(path: &Path) {
     f.flush().expect("flush");
 }
 
-/// The in-process reference: `sortfile --algo striped` in miniature.
+/// The in-process reference: `striped_sort_cluster` over the same
+/// shards, output read back in global block order.
 fn striped_in_process(input: &Path, output: &Path) -> SortReport {
     striped_in_process_on(input, output, test_machine(), AlgoConfig::default())
 }

@@ -48,7 +48,8 @@ fn write_gensort_input(path: &Path) {
     f.flush().expect("flush");
 }
 
-/// The in-process reference: sortfile's local mode in miniature.
+/// The in-process reference: `sort_cluster` over the same shards, the
+/// per-PE outputs concatenated.
 fn sort_in_process(input: &Path, output: &Path) -> SortReport {
     let cfg = SortConfig::new(test_machine(), AlgoConfig::default()).expect("valid");
     let input_path = input.to_path_buf();

@@ -51,7 +51,9 @@ use crate::merge::{merge_cpu, par_merge_k_below_traced_with_min, par_merge_k_tra
 use crate::psort::{parallel_sort, parallel_sort_presorted};
 use crate::recio::records_per_block;
 use crate::runform::{ingest_input, LocalInput};
-use demsort_net::{chunked_alltoallv, run_cluster, Communicator, MPI_VOLUME_LIMIT};
+use demsort_net::{
+    chunked_alltoallv, decode_u64s, encode_u64s, run_cluster, Communicator, MPI_VOLUME_LIMIT,
+};
 use demsort_storage::{duality_issue_order, BlockId, PeStorage};
 use demsort_types::{
     CommCounters, CpuCounters, Error, Phase, PhaseStats, Record, Result, SortConfig, SortReport,
@@ -364,18 +366,8 @@ pub fn striped_mergesort_resilient<R: Record + Ord>(
             let sub = (hooks.subgroup)(&members)?;
             // (3) Agreement: every survivor must see the same
             // membership, or the re-merge would deadlock on mismatched
-            // collectives. (Membership bitmask fits u64: P ≤ 64 holds
-            // for every configuration this crate drives; larger
-            // clusters would gather the member list itself.)
-            if p <= 64 {
-                let mask = members.iter().fold(0u64, |m, &r| m | (1u64 << r));
-                let masks = sub.allgather_u64(mask)?;
-                if masks.iter().any(|&m| m != mask) {
-                    return Err(Error::comm(format!(
-                        "survivors disagree on the dead set (masks {masks:x?})"
-                    )));
-                }
-            }
+            // collectives.
+            agree_on_members(&sub, &members)?;
             // (4) Re-route the dead ranks' blocks to their replicas
             // and record the failover: each block this rank now
             // re-serves is one message and one block of send volume.
@@ -464,6 +456,28 @@ fn run_merge_passes<R: Record + Ord>(
         runs = next;
     }
     Ok((runs.into_iter().next().unwrap_or_else(StripedRun::empty), passes, cpu))
+}
+
+/// Survivor agreement: gather every rank's member list over `comm`
+/// and require each to equal this rank's `members`.
+///
+/// # Errors
+/// [`Error::Comm`] on every rank when any two lists differ (a
+/// survivor with another view would deadlock the re-merge on
+/// mismatched collectives), or when the allgather itself fails.
+fn agree_on_members(comm: &Communicator, members: &[usize]) -> Result<()> {
+    let mine: Vec<u64> = members.iter().map(|&r| r as u64).collect();
+    for (rank, buf) in comm.allgather(encode_u64s(&mine))?.iter().enumerate() {
+        let theirs = decode_u64s(buf)?;
+        if theirs != mine {
+            return Err(Error::comm(format!(
+                "survivors disagree on the membership: rank {rank} has {theirs:?}, \
+                 rank {} has {mine:?}",
+                comm.rank()
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Store `f` replicas of every block of `run` this rank owns on its
@@ -1020,8 +1034,7 @@ const READ_STRIPED_WINDOW: usize = 64;
 /// per-owner batches, bounded by a fixed in-flight window — memory
 /// stays O(window · B) regardless of the run size. Each callback
 /// receives one block's valid bytes (`counts[g] · record_bytes` of raw
-/// encoded records). The shared engine under [`read_striped`] and the
-/// file write-back of `sortfile --algo striped`.
+/// encoded records). The engine under [`read_striped`].
 pub fn read_striped_blocks<K>(
     storage: &ClusterStorage,
     run: &StripedRun<K>,
@@ -1501,6 +1514,37 @@ mod tests {
             sent(&repl) > sent(&plain),
             "replica stores must show up in the run-formation comm counters"
         );
+    }
+
+    #[test]
+    fn survivors_agree_on_identical_member_lists() {
+        let res = run_cluster(3, |c| agree_on_members(&c, &[0, 1, 3]));
+        assert!(res.iter().all(Result::is_ok), "{res:?}");
+    }
+
+    #[test]
+    fn one_divergent_member_list_fails_every_rank() {
+        let res = run_cluster(3, |c| {
+            let members: &[usize] = if c.rank() == 1 { &[0, 1, 2] } else { &[0, 1, 3] };
+            agree_on_members(&c, members)
+        });
+        for (rank, r) in res.iter().enumerate() {
+            assert!(matches!(r, Err(Error::Comm(_))), "rank {rank}: {r:?}");
+        }
+    }
+
+    #[test]
+    fn member_lists_beyond_rank_64_are_compared() {
+        let agree = run_cluster(3, |c| agree_on_members(&c, &[0, 64, 99, 130]));
+        assert!(agree.iter().all(Result::is_ok), "{agree:?}");
+        // The lists differ only above rank 64, past any u64 bitmask.
+        let differ = run_cluster(3, |c| {
+            let last = if c.rank() == 2 { 131 } else { 130 };
+            agree_on_members(&c, &[0, 64, 99, last])
+        });
+        for (rank, r) in differ.iter().enumerate() {
+            assert!(matches!(r, Err(Error::Comm(_))), "rank {rank}: {r:?}");
+        }
     }
 
     #[test]

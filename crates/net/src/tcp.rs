@@ -34,13 +34,13 @@
 //!   [`Error::Comm`](demsort_types::Error), never a hang.
 
 use crate::transport::Transport;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use demsort_types::trace::TraceEv;
 use demsort_types::{wire, BufferPool, Error, Result, Tracer};
 use std::collections::HashMap;
 use std::io::{BufWriter, ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -471,7 +471,7 @@ impl TcpTransport {
     ) -> Result<Self> {
         let mut peers: Vec<Option<Arc<PeerLink>>> = Vec::with_capacity(size);
         let mut inbox = Vec::with_capacity(size);
-        let (self_tx, self_rx) = unbounded::<InboxMsg>();
+        let (self_tx, self_rx) = channel::<InboxMsg>();
         let mut self_rx = Some(self_rx);
         let handler: Arc<RwLock<Option<BlockHandler>>> = Arc::new(RwLock::new(None));
         let store_handler: Arc<RwLock<Option<StoreHandler>>> = Arc::new(RwLock::new(None));
@@ -508,7 +508,7 @@ impl TcpTransport {
                 wire_sent: AtomicU64::new(0),
                 wire_recv: AtomicU64::new(0),
             });
-            let (data_tx, data_rx) = unbounded::<InboxMsg>();
+            let (data_tx, data_rx) = channel::<InboxMsg>();
             let reader = ReaderCtx {
                 peer: j,
                 stream,

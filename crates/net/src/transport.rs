@@ -26,8 +26,8 @@
 //!    surface as [`Error::Comm`](demsort_types::Error) from `recv`
 //!    within the transport's timeout.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use demsort_types::{Error, Result};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// Point-to-point byte-frame transport between `size` ranks.
 ///
@@ -254,7 +254,7 @@ impl LocalTransport {
             (0..p).map(|_| Vec::with_capacity(p)).collect();
         for dst_inbox in inboxes.iter_mut() {
             for sender in senders.iter_mut() {
-                let (tx, rx) = unbounded::<Vec<u8>>();
+                let (tx, rx) = channel::<Vec<u8>>();
                 sender.push(tx);
                 dst_inbox.push(rx);
             }

@@ -7,8 +7,8 @@
 //! high-water mark so tests can assert the paper's extra-space bounds.
 
 use crate::block::BlockId;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 struct DiskAlloc {
     next: u32,
@@ -44,7 +44,7 @@ impl BlockAllocator {
 
     /// Allocate a block on a specific disk (reuses freed slots first).
     pub fn alloc_on(&self, disk: usize) -> BlockId {
-        let mut d = self.disks[disk].lock();
+        let mut d = self.disks[disk].lock().unwrap_or_else(PoisonError::into_inner);
         let slot = d.free.pop().unwrap_or_else(|| {
             let s = d.next;
             d.next = d.next.checked_add(1).expect("disk slot space exhausted");
@@ -64,7 +64,7 @@ impl BlockAllocator {
 
     /// Return a block to its disk's free list.
     pub fn free(&self, id: BlockId) {
-        let mut d = self.disks[id.disk as usize].lock();
+        let mut d = self.disks[id.disk as usize].lock().unwrap_or_else(PoisonError::into_inner);
         debug_assert!(id.slot < d.next, "freeing never-allocated block {id}");
         debug_assert!(!d.free.contains(&id.slot), "double free of {id}");
         d.free.push(id.slot);

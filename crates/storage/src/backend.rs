@@ -10,10 +10,10 @@
 //!   n-th operation; used by failure-injection tests.
 
 use demsort_types::{Error, Result};
-use parking_lot::RwLock;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{PoisonError, RwLock};
 
 /// Abstract block store addressed by `(disk, slot)`.
 ///
@@ -51,20 +51,39 @@ impl MemBackend {
     pub fn resident_bytes(&self) -> u64 {
         self.disks
             .iter()
-            .map(|d| d.read().iter().map(|s| s.as_ref().map_or(0, |b| b.len() as u64)).sum::<u64>())
+            .map(|d| {
+                d.read()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .iter()
+                    .map(|s| s.as_ref().map_or(0, |b| b.len() as u64))
+                    .sum::<u64>()
+            })
             .sum()
     }
 
     /// Number of occupied slots across all disks.
     pub fn resident_blocks(&self) -> u64 {
-        self.disks.iter().map(|d| d.read().iter().filter(|s| s.is_some()).count() as u64).sum()
+        self.disks
+            .iter()
+            .map(|d| {
+                d.read()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .iter()
+                    .filter(|s| s.is_some())
+                    .count() as u64
+            })
+            .sum()
     }
 }
 
 impl Backend for MemBackend {
     fn read(&self, disk: usize, slot: u64, buf: &mut [u8]) -> Result<()> {
-        let disk_tbl =
-            self.disks.get(disk).ok_or_else(|| Error::io(format!("no such disk {disk}")))?.read();
+        let disk_tbl = self
+            .disks
+            .get(disk)
+            .ok_or_else(|| Error::io(format!("no such disk {disk}")))?
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
         let data = disk_tbl
             .get(slot as usize)
             .and_then(|s| s.as_ref())
@@ -81,8 +100,12 @@ impl Backend for MemBackend {
     }
 
     fn write(&self, disk: usize, slot: u64, data: &[u8]) -> Result<()> {
-        let mut disk_tbl =
-            self.disks.get(disk).ok_or_else(|| Error::io(format!("no such disk {disk}")))?.write();
+        let mut disk_tbl = self
+            .disks
+            .get(disk)
+            .ok_or_else(|| Error::io(format!("no such disk {disk}")))?
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         let slot = slot as usize;
         if disk_tbl.len() <= slot {
             disk_tbl.resize_with(slot + 1, || None);
@@ -97,7 +120,7 @@ impl Backend for MemBackend {
 
     fn discard(&self, disk: usize, slot: u64) {
         if let Some(d) = self.disks.get(disk) {
-            let mut tbl = d.write();
+            let mut tbl = d.write().unwrap_or_else(PoisonError::into_inner);
             if let Some(entry) = tbl.get_mut(slot as usize) {
                 *entry = None;
             }

@@ -14,10 +14,9 @@
 use crate::backend::Backend;
 use crate::block::BlockId;
 use crate::disk::{DiskModel, DiskStats};
-use crossbeam::channel::{unbounded, Sender};
 use demsort_types::{BufferPool, IoCounters, Result};
-use parking_lot::{Condvar, Mutex};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 enum Request {
@@ -49,7 +48,7 @@ impl HandleState {
     }
 
     fn complete(&self, r: Result<Box<[u8]>>) {
-        let mut guard = self.result.lock();
+        let mut guard = self.result.lock().unwrap_or_else(PoisonError::into_inner);
         *guard = Some(r);
         self.cv.notify_all();
     }
@@ -66,17 +65,18 @@ pub struct IoHandle {
 impl IoHandle {
     /// Block until the operation completes; returns the buffer.
     pub fn wait(self) -> Result<Box<[u8]>> {
-        let mut guard = self.state.result.lock();
-        while guard.is_none() {
-            // verify: allow(L2, parking_lot Condvar::wait returns unit — not the fallible IoHandle::wait)
-            self.state.cv.wait(&mut guard);
-        }
+        let guard = self.state.result.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut guard = self
+            .state
+            .cv
+            .wait_while(guard, |r| r.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
         guard.take().expect("completed state present")
     }
 
     /// `true` once the operation has completed (success or failure).
     pub fn is_done(&self) -> bool {
-        self.state.result.lock().is_some()
+        self.state.result.lock().unwrap_or_else(PoisonError::into_inner).is_some()
     }
 
     /// An already-completed handle (used when data is served from a
@@ -132,7 +132,7 @@ impl IoEngine {
         let mut queues = Vec::with_capacity(disks);
         let mut workers = Vec::with_capacity(disks);
         for disk in 0..disks {
-            let (tx, rx) = unbounded::<Request>();
+            let (tx, rx) = channel::<Request>();
             queues.push(tx);
             let backend = Arc::clone(&backend);
             let stats = Arc::clone(&stats);

@@ -1,13 +1,12 @@
 //! Minimal dependency-free JSON: escape-correct emission and a small
 //! reader.
 //!
-//! The suite emits machine-readable output in two places — the
-//! `BENCH_striped.json` benchmark summary and the per-rank trace
-//! journals of [`crate::trace`] — and `demsort-trace` reads the
-//! journals back. Both sides go through this module so a string that
-//! was emitted always parses back to the same value (escaping is
-//! centralized and round-trip tested), without pulling a serde stack
-//! into a workspace that is otherwise dependency-free.
+//! The suite emits machine-readable output in the per-rank trace
+//! journals of [`crate::trace`], and `demsort-trace` reads them back.
+//! Both sides go through this module so a string that was emitted
+//! always parses back to the same value (escaping is centralized and
+//! round-trip tested), without pulling a serde stack into a workspace
+//! that is otherwise dependency-free.
 //!
 //! Numbers keep their integer-ness: a `u64` nanosecond timestamp is
 //! emitted as a decimal integer and parses back to [`Json::Uint`]
