@@ -26,6 +26,9 @@
 //! launcher makes in `--scratch DIR` (default: OUTPUT's directory, which
 //! then needs room for about the input's size) and removes after every
 //! outcome. Each worker prints its peak RSS as `rank K: peak RSS X MiB`.
+//! After the `done:` summary the launcher prints the job's wall time,
+//! from spawning the workers to their last report, as
+//! `wall X.XX s, Y records/s`.
 //!
 //! On failure the exit code is non-zero and the error names the failed
 //! rank(s): a rank that died without reporting (crash, SIGKILL) leads
@@ -64,8 +67,10 @@ fn main() {
         demsort_types::fmtsize::fmt_bytes(job.machine.mem_bytes_per_pe as u64),
         worker.display()
     );
+    let started = std::time::Instant::now();
     match launch(&job, &worker) {
         Ok(outcome) => {
+            let wall = started.elapsed().as_secs_f64();
             for rep in &outcome.per_rank {
                 eprintln!("  rank {}: {} records, {} runs", rep.rank, rep.elems, rep.runs);
             }
@@ -77,6 +82,10 @@ fn main() {
                 outcome.report.runs,
                 outcome.report.io_volume_over_n(),
                 outcome.report.comm_volume_over_n(),
+            );
+            eprintln!(
+                "wall {wall:.2} s, {:.0} records/s",
+                outcome.report.elements as f64 / wall.max(f64::MIN_POSITIVE)
             );
         }
         Err(e) => {

@@ -2,7 +2,8 @@
 //! missing input, an input that is not whole 100-byte records, and an
 //! unknown flag (the removed `--transport`) each exit non-zero with a
 //! message naming the cause, without a panic, and leave the
-//! `--scratch` directory empty.
+//! `--scratch` directory empty. A successful sort reports its wall
+//! time and throughput on the line after its `done:` summary.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -76,5 +77,32 @@ fn unknown_flag_is_rejected_not_taken_as_a_file() {
     );
     assert_clean_failure(ok, &stderr, &left, "unknown flag --transport");
     assert!(!output.exists(), "a rejected command line must not create the output");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn success_reports_wall_time_and_records_per_second() {
+    let dir = tmp_dir("wall");
+    let input = dir.join("in.dat");
+    let recs: Vec<u8> =
+        (0..500u32).flat_map(|i| [(i.wrapping_mul(193) % 251) as u8; 100]).collect();
+    std::fs::write(&input, recs).expect("write 500 records");
+    let output = dir.join("out.dat");
+    let (ok, stderr, left) =
+        launch(&dir, &[input.to_str().expect("utf-8"), output.to_str().expect("utf-8")]);
+    assert!(ok, "sort must succeed: {stderr}");
+    assert!(left.is_empty(), "scratch must be left empty, found {left:?}");
+    let mut lines = stderr.lines().skip_while(|l| !l.starts_with("done: 500 records"));
+    assert!(lines.next().is_some(), "no done: line: {stderr}");
+    let wall = lines.next().unwrap_or_default();
+    let (secs, rate) = wall
+        .strip_prefix("wall ")
+        .and_then(|l| l.strip_suffix(" records/s"))
+        .and_then(|l| l.split_once(" s, "))
+        .unwrap_or_else(|| panic!("`wall X.XX s, Y records/s` must follow done:, got `{wall}`"));
+    assert_eq!(secs.split_once('.').map(|(_, frac)| frac.len()), Some(2), "{wall}");
+    let secs: f64 = secs.parse().expect("wall seconds");
+    let rate: u64 = rate.parse().expect("whole records/s");
+    assert!(secs >= 0.0 && rate > 0, "{wall}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -16,6 +16,12 @@
 //!    MPI's 2 GiB limit, Section V);
 //! 4. `P`-way merge of the received sorted pieces.
 //!
+//! The exchange copies each record once, when it is encoded into its
+//! outgoing message. The all-to-all hands the message buffers through
+//! (see [`chunked_alltoallv`]), and the merge reads the received bytes
+//! in place through [`Record::view_slice`]. No per-piece decode or
+//! fresh allocation is needed where the record layout allows it.
+//!
 //! The output is *canonical*: PE `i` ends up with the elements of
 //! global ranks `⌊i·N/P⌋ .. ⌊(i+1)·N/P⌋`.
 
@@ -24,6 +30,7 @@ use crate::merge::{merge_cpu, par_merge_k_into};
 use crate::seqsort::sort_in_node;
 use demsort_net::{chunked_alltoallv, Communicator, MPI_VOLUME_LIMIT};
 use demsort_types::{CpuCounters, Record, Result};
+use std::borrow::Cow;
 
 /// Sort `data` across all PEs of `comm`; returns this PE's canonical
 /// slice of the global sorted order plus CPU counters.
@@ -80,17 +87,11 @@ pub fn parallel_sort_presorted<R: Record + Ord>(
     let received = chunked_alltoallv(comm, msgs, MPI_VOLUME_LIMIT)?;
     drop(data);
 
-    // Merge the P sorted pieces (they arrive indexed by source rank,
-    // which is exactly the canonical (key, pe) tie-break order).
-    let pieces: Vec<Vec<R>> = received
-        .into_iter()
-        .map(|buf| {
-            let mut v = Vec::new();
-            R::decode_slice(&buf, &mut v);
-            v
-        })
-        .collect();
-    let views: Vec<&[R]> = pieces.iter().map(|p| p.as_slice()).collect();
+    // Merge the P sorted pieces straight out of the received buffers
+    // (they arrive indexed by source rank, which is exactly the
+    // canonical (key, pe) tie-break order).
+    let pieces: Vec<Cow<'_, [R]>> = received.iter().map(|buf| R::view_slice(buf)).collect();
+    let views: Vec<&[R]> = pieces.iter().map(|p| p.as_ref()).collect();
     let total: usize = views.iter().map(|v| v.len()).sum();
     let mut out = Vec::with_capacity(total);
     let pm = par_merge_k_into(&views, cores, &mut out);
@@ -104,8 +105,11 @@ pub fn parallel_sort_presorted<R: Record + Ord>(
 mod tests {
     use super::*;
     use demsort_net::run_cluster;
-    use demsort_types::Element16;
-    use demsort_workloads::{checksum_elements, generate_all, generate_pe_input, InputSpec};
+    use demsort_types::{Element16, Record100};
+    use demsort_workloads::{
+        checksum_elements, checksum_records, generate_all, generate_pe_input, gensort_records,
+        InputSpec,
+    };
 
     /// Run a parallel sort and verify the three output properties:
     /// locally sorted, globally ordered across PEs, and a permutation
@@ -140,6 +144,29 @@ mod tests {
     fn sorts_uniform_inputs() {
         for p in [1, 2, 3, 4, 8] {
             check_psort(InputSpec::Uniform, p, 500);
+        }
+    }
+
+    #[test]
+    fn sorts_record100_through_in_place_views() {
+        // The SortBenchmark record takes the borrowed `view_slice` path
+        // on every target; Element16 above takes it when aligned.
+        let local_n = 400;
+        for p in [1, 2, 3] {
+            let outputs = run_cluster(p, move |c| {
+                let data = gensort_records(7, (c.rank() * local_n) as u64, local_n);
+                parallel_sort(&c, data, 2).expect("sort").0
+            });
+            let input = gensort_records(7, 0, p * local_n);
+            let mut reference = input.clone();
+            reference.sort_unstable();
+            for (pe, out) in outputs.iter().enumerate() {
+                let expect = demsort_types::ranks::owned_len(pe, p, (p * local_n) as u64);
+                assert_eq!(out.len() as u64, expect, "PE {pe} size (P={p})");
+            }
+            let concat: Vec<Record100> = outputs.concat();
+            assert!(concat == reference, "global order (P={p})");
+            assert_eq!(checksum_records(&concat), checksum_records(&input), "permutation");
         }
     }
 

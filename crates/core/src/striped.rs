@@ -55,9 +55,10 @@ use demsort_net::{
     chunked_alltoallv, decode_u64s, encode_u64s, run_cluster, Communicator, MPI_VOLUME_LIMIT,
 };
 use demsort_storage::{duality_issue_order, BlockId, PeStorage};
+use demsort_types::wire::WireReader;
 use demsort_types::{
-    CommCounters, CpuCounters, Error, Phase, PhaseStats, Record, Result, SortConfig, SortReport,
-    TraceEv, Tracer,
+    BufferPool, CommCounters, CpuCounters, Error, Phase, PhaseStats, Record, Result, SortConfig,
+    SortReport, TraceEv, Tracer,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -543,25 +544,41 @@ fn replicate_run<K>(
         msg.extend_from_slice(&id.slot.to_le_bytes());
     }
     let gathered = comm.allgather(msg)?;
-    run.replicas = vec![Vec::new(); run.blocks.len()];
-    let mut per_block: Vec<Vec<(u32, u32, BlockId)>> = vec![Vec::new(); run.blocks.len()];
-    for buf in &gathered {
-        let mut at = 0;
-        while at < buf.len() {
-            let g = u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes")) as usize;
-            let i = u32::from_le_bytes(buf[at + 8..at + 12].try_into().expect("4 bytes"));
-            let disk = u32::from_le_bytes(buf[at + 12..at + 16].try_into().expect("4 bytes"));
-            let slot = u32::from_le_bytes(buf[at + 16..at + 20].try_into().expect("4 bytes"));
-            let rank = ((run.owners[g] as usize + i as usize) % p) as u32;
+    run.replicas = decode_replicas(&gathered, &run.owners, p)?;
+    Ok(())
+}
+
+/// Decode the allgathered replica directory of a run whose block `g`
+/// is owned by `owners[g]`: `gathered[r]` is rank `r`'s list of
+/// `(g: u64, replica index i: u32, disk: u32, slot: u32)` entries, and
+/// replica `i` lives on rank `(owner + i) mod p`. Returns each block's
+/// `(replica rank, block id)` pairs in buddy order.
+///
+/// # Errors
+/// [`Error::Comm`] naming the rank whose entry is truncated or names a
+/// block outside the run.
+fn decode_replicas(
+    gathered: &[Vec<u8>],
+    owners: &[u32],
+    p: usize,
+) -> Result<Vec<Vec<(u32, BlockId)>>> {
+    let mut per_block: Vec<Vec<(u32, u32, BlockId)>> = vec![Vec::new(); owners.len()];
+    for (from, buf) in gathered.iter().enumerate() {
+        let entries = frame_entries(buf, |r| {
+            Ok((block_index(r.u64()?, owners.len())?, r.u32()?, r.u32()?, r.u32()?))
+        });
+        for (g, i, disk, slot) in from_peer("replica directory", from, entries)? {
+            let rank = ((owners[g] as usize + i as usize) % p) as u32;
             per_block[g].push((i, rank, BlockId::new(disk, slot)));
-            at += 20;
         }
     }
-    for (g, mut reps) in per_block.into_iter().enumerate() {
-        reps.sort_unstable_by_key(|&(i, _, _)| i);
-        run.replicas[g] = reps.into_iter().map(|(_, rank, id)| (rank, id)).collect();
-    }
-    Ok(())
+    Ok(per_block
+        .into_iter()
+        .map(|mut reps| {
+            reps.sort_unstable_by_key(|&(i, _, _)| i);
+            reps.into_iter().map(|(_, rank, id)| (rank, id)).collect()
+        })
+        .collect())
 }
 
 /// Re-route every block owned by a dead rank to its first live
@@ -625,7 +642,6 @@ fn write_striped<R: Record>(
     stripe_offset: u64,
 ) -> Result<StripedRun<R::Key>> {
     let p = comm.size();
-    let me = comm.rank();
     let dpp = cfg.machine.disks_per_pe;
     let d = dpp * view.globals.len();
     let rpb = records_per_block::<R>(st.block_bytes()) as u64;
@@ -637,69 +653,47 @@ fn write_striped<R: Record>(
     // Ship each overlapped piece of each global block to the block's
     // owner: block g → disk ((off + g) mod D) → PE ((off + g) mod D)/dpp.
     // Message format per piece: (g: u64, offset_in_block: u32,
-    // count: u32, records...).
-    let mut msgs: Vec<Vec<u8>> = vec![Vec::new(); p];
+    // count: u32, records...). The piece boundaries are walked twice:
+    // once to size every owner's message, once to encode into it, so
+    // each message is allocated once and the records are copied once.
+    // A piece is (owner, g, within, pos, take).
+    let mut pieces: Vec<(usize, u64, u64, usize, usize)> = Vec::new();
+    let mut sizes = vec![0usize; p];
     let mut pos = 0usize;
     while pos < local.len() {
         let g = (my_off + pos as u64) / rpb;
         let within = (my_off + pos as u64) % rpb;
         let take = ((rpb - within) as usize).min(local.len() - pos);
         let owner = (((stripe_offset + g) % d as u64) as usize) / dpp;
-        let msg = &mut msgs[owner];
-        msg.extend_from_slice(&g.to_le_bytes());
-        msg.extend_from_slice(&(within as u32).to_le_bytes());
-        msg.extend_from_slice(&(take as u32).to_le_bytes());
-        let start = msg.len();
-        msg.resize(start + take * R::BYTES, 0);
-        R::encode_slice(&local[pos..pos + take], &mut msg[start..]);
+        sizes[owner] += PIECE_HEADER + take * R::BYTES;
+        pieces.push((owner, g, within, pos, take));
         pos += take;
     }
-    let received = chunked_alltoallv(comm, msgs, MPI_VOLUME_LIMIT)?;
-
-    // Assemble my blocks (pieces of one block can come from two PEs).
-    let mut mine: std::collections::BTreeMap<u64, (Vec<u8>, usize)> =
-        std::collections::BTreeMap::new();
-    let block_bytes = st.block_bytes();
-    let mut assembled_bytes = 0u64;
-    for buf in &received {
-        let mut at = 0usize;
-        while at < buf.len() {
-            let g = u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"));
-            let within =
-                u32::from_le_bytes(buf[at + 8..at + 12].try_into().expect("4 bytes")) as usize;
-            let count =
-                u32::from_le_bytes(buf[at + 12..at + 16].try_into().expect("4 bytes")) as usize;
-            let bytes = count * R::BYTES;
-            // Assemble into a pooled block: `get_vec` hands back an
-            // empty vec with one block of capacity, and resizing from
-            // zero zero-fills it, so partially covered tails stay
-            // deterministically padded.
-            let entry = mine.entry(g).or_insert_with(|| {
-                let mut v = st.pool().get_vec();
-                v.resize(block_bytes, 0);
-                (v, 0)
-            });
-            entry.0[within * R::BYTES..within * R::BYTES + bytes]
-                .copy_from_slice(&buf[at + 16..at + 16 + bytes]);
-            entry.1 += count;
-            assembled_bytes += bytes as u64;
-            at += 16 + bytes;
-        }
+    let mut msgs: Vec<Vec<u8>> = sizes.iter().map(|&len| vec![0u8; len]).collect();
+    let mut fill = vec![0usize; p];
+    for (owner, g, within, pos, take) in pieces {
+        let at = fill[owner];
+        let msg = &mut msgs[owner][at..at + PIECE_HEADER + take * R::BYTES];
+        let (head, body) = msg.split_at_mut(PIECE_HEADER);
+        head[..8].copy_from_slice(&g.to_le_bytes());
+        head[8..12].copy_from_slice(&(within as u32).to_le_bytes());
+        head[12..].copy_from_slice(&(take as u32).to_le_bytes());
+        R::encode_slice(&local[pos..pos + take], body);
+        fill[owner] = at + msg.len();
     }
-    st.pool().add_copied(assembled_bytes);
+    let received = chunked_alltoallv(comm, msgs, MPI_VOLUME_LIMIT)?;
+    let mine = assemble_blocks::<R>(&received, &view.globals, st.pool(), st.block_bytes(), n)?;
 
     // Write assembled blocks to the designated local disk and collect
     // (g, block id, first key) for the directory.
     let mut triples: Vec<(u64, BlockId, R::Key, u32)> = Vec::with_capacity(mine.len());
     let mut pending = Vec::with_capacity(mine.len());
-    for (g, (data, count)) in mine {
-        let expect = (n.min((g + 1) * rpb) - g * rpb) as usize;
-        debug_assert_eq!(count, expect, "block {g} incomplete");
+    for (g, data, count) in mine {
         let disk = (((stripe_offset + g) % d as u64) as usize) % dpp;
         let id = st.alloc().alloc_on(disk);
         let first = R::decode(&data[..R::BYTES]).key();
         pending.push(st.engine().write(id, data.into_boxed_slice()));
-        triples.push((g, id, first, expect as u32));
+        triples.push((g, id, first, count));
     }
     for h in pending {
         // The write worker hands the staged buffer back; recycle it.
@@ -718,33 +712,166 @@ fn write_striped<R: Record>(
         msg.extend_from_slice(&key_buf);
     }
     let gathered = comm.allgather(msg)?;
-    let tb = total_blocks as usize;
+    decode_directory::<R>(&gathered, &view.globals, n, total_blocks as usize)
+}
+
+/// Bytes of a [`write_striped`] piece header: `(g: u64, offset in
+/// block: u32, count: u32)`.
+const PIECE_HEADER: usize = 16;
+
+/// Parse a peer's frame as a sequence of fixed-layout entries, each
+/// read by `entry`, until the frame is used up.
+fn frame_entries<'a, T>(
+    buf: &'a [u8],
+    mut entry: impl FnMut(&mut WireReader<'a>) -> Result<T>,
+) -> Result<Vec<T>> {
+    let mut r = WireReader::new(buf);
+    let mut out = Vec::new();
+    while r.remaining() > 0 {
+        out.push(entry(&mut r)?);
+    }
+    Ok(out)
+}
+
+/// Name peer `rank` and the kind of frame in a decode error of its
+/// frame.
+fn from_peer<T>(what: &str, rank: usize, r: Result<T>) -> Result<T> {
+    r.map_err(|e| match e {
+        Error::Comm(m) => Error::comm(format!("{what} from rank {rank}: {m}")),
+        e => e,
+    })
+}
+
+/// `g` as an index into a run of `blocks` blocks.
+fn block_index(g: u64, blocks: usize) -> Result<usize> {
+    usize::try_from(g)
+        .ok()
+        .filter(|&g| g < blocks)
+        .ok_or_else(|| Error::comm(format!("block {g} of a {blocks}-block run")))
+}
+
+/// Parse one [`write_striped`] message into its pieces
+/// `(g, offset in block, record bytes)`.
+///
+/// # Errors
+/// [`Error::Comm`] if the frame is truncated, `g` is not a block of
+/// the `total_blocks`-block run, or a piece overruns its block of `rpb`
+/// records — a peer's protocol violation must never panic the
+/// receiver.
+fn decode_pieces(
+    buf: &[u8],
+    record_bytes: usize,
+    rpb: u64,
+    total_blocks: u64,
+) -> Result<Vec<(u64, usize, &[u8])>> {
+    frame_entries(buf, |r| {
+        let (g, within, count) = (r.u64()?, r.u32()? as u64, r.u32()? as u64);
+        if g >= total_blocks || within + count > rpb {
+            return Err(Error::comm(format!(
+                "records {within}..{} of block {g} lie outside the run \
+                 ({total_blocks} blocks of {rpb} records)",
+                within + count
+            )));
+        }
+        Ok((g, within as usize, r.take(count as usize * record_bytes)?))
+    })
+}
+
+/// Assemble this rank's blocks of an `n`-record striped run from the
+/// received [`write_striped`] messages (`received[i]` from global rank
+/// `globals[i]`; pieces of one block can come from two ranks) into
+/// pooled, zero-padded blocks. Returns `(g, block bytes, count)` in
+/// block order.
+///
+/// # Errors
+/// [`Error::Comm`] if a message is malformed ([`decode_pieces`]) or a
+/// block is not completely covered once all pieces are in.
+fn assemble_blocks<R: Record>(
+    received: &[Vec<u8>],
+    globals: &[usize],
+    pool: &BufferPool,
+    block_bytes: usize,
+    n: u64,
+) -> Result<Vec<(u64, Vec<u8>, u32)>> {
+    let rpb = records_per_block::<R>(block_bytes) as u64;
+    let total_blocks = n.div_ceil(rpb);
+    let mut mine: std::collections::BTreeMap<u64, (Vec<u8>, u64)> =
+        std::collections::BTreeMap::new();
+    let mut assembled_bytes = 0u64;
+    for (buf, &from) in received.iter().zip(globals) {
+        let pieces =
+            from_peer("striped write", from, decode_pieces(buf, R::BYTES, rpb, total_blocks))?;
+        for (g, within, bytes) in pieces {
+            // Assemble into a pooled block: `get_vec` hands back an
+            // empty vec with one block of capacity, and resizing from
+            // zero zero-fills it, so partially covered tails stay
+            // deterministically padded.
+            let entry = mine.entry(g).or_insert_with(|| {
+                let mut v = pool.get_vec();
+                v.resize(block_bytes, 0);
+                (v, 0)
+            });
+            entry.0[within * R::BYTES..][..bytes.len()].copy_from_slice(bytes);
+            entry.1 += (bytes.len() / R::BYTES) as u64;
+            assembled_bytes += bytes.len() as u64;
+        }
+    }
+    pool.add_copied(assembled_bytes);
+    mine.into_iter()
+        .map(|(g, (data, count))| {
+            let expect = n.min((g + 1) * rpb) - g * rpb;
+            if count != expect {
+                return Err(Error::comm(format!(
+                    "striped write: block {g} assembled {count} of its {expect} records"
+                )));
+            }
+            Ok((g, data, count as u32))
+        })
+        .collect()
+}
+
+/// Decode the allgathered directory of an `n`-record, `tb`-block
+/// striped run: `gathered[i]` is global rank `globals[i]`'s list of
+/// `(g: u64, disk: u32, slot: u32, count: u32, first record)` entries.
+///
+/// # Errors
+/// [`Error::Comm`] naming the rank whose entry is truncated or names a
+/// block outside the run, or naming the first block nobody listed.
+fn decode_directory<R: Record>(
+    gathered: &[Vec<u8>],
+    globals: &[usize],
+    n: u64,
+    tb: usize,
+) -> Result<StripedRun<R::Key>> {
     let mut run = StripedRun {
         owners: vec![0; tb],
         blocks: vec![BlockId::new(0, 0); tb],
-        first_keys: Vec::with_capacity(tb),
+        first_keys: Vec::new(),
         counts: vec![0; tb],
         replicas: Vec::new(),
         elems: n,
     };
     let mut keys: Vec<Option<R::Key>> = vec![None; tb];
-    for (pe, buf) in gathered.iter().enumerate() {
-        let mut at = 0;
-        while at < buf.len() {
-            let g = u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes")) as usize;
-            let disk = u32::from_le_bytes(buf[at + 8..at + 12].try_into().expect("4 bytes"));
-            let slot = u32::from_le_bytes(buf[at + 12..at + 16].try_into().expect("4 bytes"));
-            let count = u32::from_le_bytes(buf[at + 16..at + 20].try_into().expect("4 bytes"));
-            run.owners[g] = view.globals[pe] as u32;
+    for (buf, &rank) in gathered.iter().zip(globals) {
+        let entries = frame_entries(buf, |r| {
+            Ok((block_index(r.u64()?, tb)?, r.u32()?, r.u32()?, r.u32()?, r.take(R::BYTES)?))
+        });
+        for (g, disk, slot, count, first) in from_peer("striped directory", rank, entries)? {
+            run.owners[g] = rank as u32;
             run.blocks[g] = BlockId::new(disk, slot);
             run.counts[g] = count;
-            keys[g] = Some(R::decode(&buf[at + 20..at + 20 + R::BYTES]).key());
-            at += 20 + R::BYTES;
+            keys[g] = Some(R::decode(first).key());
         }
     }
-    run.first_keys =
-        keys.into_iter().map(|k| k.expect("every global block written by someone")).collect();
-    let _ = me;
+    run.first_keys = keys
+        .into_iter()
+        .enumerate()
+        .map(|(g, key)| {
+            key.ok_or_else(|| {
+                Error::comm(format!("striped directory: no rank wrote block {g} of {tb}"))
+            })
+        })
+        .collect::<Result<_>>()?;
     Ok(run)
 }
 
@@ -1654,5 +1781,112 @@ mod tests {
         // Striping costs communication on every pass ("4-5
         // communications for two passes").
         assert!(outcome.report.comm_volume_over_n() > 1.0);
+    }
+
+    /// One `write_striped` piece frame: header plus `count` records of
+    /// `fill` bytes.
+    fn piece_frame(g: u64, within: u32, count: u32, fill: u8) -> Vec<u8> {
+        let mut f = Vec::new();
+        f.extend_from_slice(&g.to_le_bytes());
+        f.extend_from_slice(&within.to_le_bytes());
+        f.extend_from_slice(&count.to_le_bytes());
+        f.extend(std::iter::repeat_n(fill, count as usize * Element16::BYTES));
+        f
+    }
+
+    fn assert_comm_err_naming<T: std::fmt::Debug>(r: Result<T>, needle: &str) {
+        match r {
+            Err(Error::Comm(m)) => assert!(m.contains(needle), "`{m}` must name `{needle}`"),
+            other => panic!("expected Error::Comm naming `{needle}`, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn piece_assembly_rejects_truncated_and_out_of_range_frames() {
+        // 20 records of 16 B, 4 per block of 64 B: 5 blocks. Rank 7's
+        // frame is bad each time.
+        let pool = BufferPool::new(64, 4);
+        let assemble = |frame: Vec<u8>| {
+            assemble_blocks::<Element16>(&[piece_frame(0, 0, 4, 1), frame], &[3, 7], &pool, 64, 20)
+        };
+        let good = piece_frame(1, 0, 4, 2);
+        assert_eq!(assemble(good.clone()).expect("well-formed").len(), 2);
+        for cut in [5, 16, good.len() - 1] {
+            assert_comm_err_naming(assemble(good[..cut].to_vec()), "from rank 7");
+        }
+        assert_comm_err_naming(assemble(piece_frame(5, 0, 1, 2)), "from rank 7");
+        assert_comm_err_naming(
+            assemble(piece_frame(u64::MAX, 0, 1, 2)),
+            "block 18446744073709551615",
+        );
+        assert_comm_err_naming(assemble(piece_frame(1, 3, 2, 2)), "from rank 7");
+    }
+
+    #[test]
+    fn piece_assembly_rejects_an_incomplete_block() {
+        // Block 1 gets 3 of its 4 records: an error, not a silently
+        // zero-padded block (the last block's short count is fine).
+        let pool = BufferPool::new(64, 4);
+        let frames = [piece_frame(0, 0, 4, 1), piece_frame(1, 0, 3, 2)];
+        assert_comm_err_naming(
+            assemble_blocks::<Element16>(&frames, &[0, 1], &pool, 64, 20),
+            "block 1 assembled 3 of its 4 records",
+        );
+        let tail = [piece_frame(4, 0, 2, 1)];
+        let blocks = assemble_blocks::<Element16>(&tail, &[0], &pool, 64, 18).expect("tail block");
+        assert_eq!(blocks.len(), 1);
+        assert_eq!((blocks[0].0, blocks[0].2), (4, 2));
+    }
+
+    /// One directory frame entry: (g, disk, slot, count, first record).
+    fn dir_entry(g: u64, key: u64) -> Vec<u8> {
+        let mut f = Vec::new();
+        for x in [g.to_le_bytes().as_slice(), &1u32.to_le_bytes(), &2u32.to_le_bytes()] {
+            f.extend_from_slice(x);
+        }
+        f.extend_from_slice(&4u32.to_le_bytes());
+        let mut rec = [0u8; 16];
+        Element16::with_key(key).encode(&mut rec);
+        f.extend_from_slice(&rec);
+        f
+    }
+
+    #[test]
+    fn directory_decode_rejects_truncated_and_out_of_range_entries() {
+        let decode = |rank1: Vec<u8>| {
+            decode_directory::<Element16>(&[dir_entry(0, 5), rank1], &[0, 9], 8, 2)
+        };
+        let run = decode(dir_entry(1, 6)).expect("well-formed");
+        assert_eq!((run.owners, run.first_keys), (vec![0, 9], vec![5, 6]));
+        let good = dir_entry(1, 6);
+        for cut in [3, 20, good.len() - 1] {
+            assert_comm_err_naming(decode(good[..cut].to_vec()), "from rank 9");
+        }
+        assert_comm_err_naming(decode(dir_entry(2, 6)), "from rank 9");
+        assert_comm_err_naming(decode(Vec::new()), "no rank wrote block 1");
+    }
+
+    #[test]
+    fn replica_directory_decode_rejects_truncated_and_out_of_range_entries() {
+        let entry = |g: u64, i: u32| {
+            let mut f = g.to_le_bytes().to_vec();
+            for x in [i, 0, 3] {
+                f.extend_from_slice(&x.to_le_bytes());
+            }
+            f
+        };
+        let owners = [0u32, 1, 2];
+        let reps = decode_replicas(&[entry(0, 1), entry(2, 1)], &owners, 3).expect("well-formed");
+        assert_eq!(reps[0], vec![(1, BlockId::new(0, 3))]);
+        assert_eq!(reps[2], vec![(0, BlockId::new(0, 3))]);
+        assert!(reps[1].is_empty());
+        let good = entry(1, 1);
+        for cut in [1, 8, good.len() - 1] {
+            assert_comm_err_naming(
+                decode_replicas(&[Vec::new(), good[..cut].to_vec()], &owners, 3),
+                "from rank 1",
+            );
+        }
+        assert_comm_err_naming(decode_replicas(&[entry(3, 1)], &owners, 3), "from rank 0");
     }
 }

@@ -10,6 +10,14 @@
 //! reassembles on the receiver. The default limit is the real MPI
 //! `i32` barrier; tests use tiny limits to exercise multi-round
 //! reassembly.
+//!
+//! Buffers are handed through, not copied: a message that fits one
+//! round is moved into the transport whole, and the first part
+//! received from each source becomes that source's output buffer. So
+//! in the common single-round case the only copy of the payload is
+//! the one the transport itself makes (the socket write on TCP; none
+//! at all for the self-message or on the in-process mesh). Only
+//! messages over `limit` are sliced on send and extended on receive.
 
 use crate::comm::Communicator;
 use demsort_types::Result;
@@ -26,7 +34,7 @@ pub const MPI_VOLUME_LIMIT: usize = i32::MAX as usize;
 /// every surviving rank gets the error, none hangs.
 pub fn chunked_alltoallv(
     comm: &Communicator,
-    msgs: Vec<Vec<u8>>,
+    mut msgs: Vec<Vec<u8>>,
     limit: usize,
 ) -> Result<Vec<Vec<u8>>> {
     assert!(limit > 0, "chunk limit must be positive");
@@ -43,20 +51,26 @@ pub fn chunked_alltoallv(
     let mut offsets = vec![0usize; p];
     for _ in 0..rounds {
         let round_msgs: Vec<Vec<u8>> = msgs
-            .iter()
-            .enumerate()
-            .map(|(j, m)| {
-                let start = offsets[j].min(m.len());
+            .iter_mut()
+            .zip(&mut offsets)
+            .map(|(m, off)| {
+                let start = (*off).min(m.len());
                 let end = (start + limit).min(m.len());
-                m[start..end].to_vec()
+                *off = end;
+                if start == 0 && end == m.len() {
+                    std::mem::take(m) // the whole message: hand it through
+                } else {
+                    m[start..end].to_vec()
+                }
             })
             .collect();
-        for (j, m) in round_msgs.iter().enumerate() {
-            offsets[j] += m.len();
-        }
         let received = comm.alltoallv(round_msgs)?;
-        for (src, part) in received.into_iter().enumerate() {
-            out[src].extend_from_slice(&part);
+        for (dst, part) in out.iter_mut().zip(received) {
+            if dst.is_empty() {
+                *dst = part;
+            } else {
+                dst.extend_from_slice(&part);
+            }
         }
     }
     Ok(out)
@@ -83,6 +97,31 @@ mod tests {
             for (me, r) in results.into_iter().enumerate() {
                 for (src, m) in r.into_iter().enumerate() {
                     assert_eq!(m, payload(src, me, 10 + 13 * me), "limit {limit}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_round_hands_the_self_message_through_on_both_transports() {
+        // A message that fits one round is moved, not copied: the
+        // self-message comes back in the very allocation it was sent
+        // in, on the in-process mesh and over TCP alike.
+        let p = 3;
+        let job = move |c: crate::Communicator| {
+            let me = c.rank();
+            let msgs: Vec<Vec<u8>> = (0..p).map(|j| payload(me, j, 64 + j)).collect();
+            let sent = msgs[me].as_ptr();
+            let out = chunked_alltoallv(&c, msgs, 1024).expect("alltoallv");
+            (sent == out[me].as_ptr(), out)
+        };
+        let local = run_cluster(p, job);
+        let tcp = crate::cluster::run_cluster_tcp(p, job);
+        for (transport, results) in [("local", local), ("tcp", tcp)] {
+            for (me, (same_alloc, out)) in results.into_iter().enumerate() {
+                assert!(same_alloc, "{transport}: rank {me}'s self-message was copied");
+                for (src, m) in out.into_iter().enumerate() {
+                    assert_eq!(m, payload(src, me, 64 + me), "{transport}: {src} -> {me}");
                 }
             }
         }

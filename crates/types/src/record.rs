@@ -11,6 +11,8 @@
 //! * [`Record100`] — the SortBenchmark record: 100 bytes, 10-byte key,
 //!   used for the GraySort/MinuteSort runs (Section VI).
 
+use std::borrow::Cow;
+
 /// A totally ordered, fixed-size sort key.
 ///
 /// `MIN_KEY`/`MAX_KEY` act as sentinels for loser trees and for the
@@ -115,6 +117,22 @@ pub trait Record: Copy + Send + Sync + 'static {
         for chunk in buf.chunks_exact(Self::BYTES) {
             out.push(Self::decode(chunk));
         }
+    }
+
+    /// The records encoded in `buf` (a whole number of records), read
+    /// in place when the in-memory layout allows it.
+    ///
+    /// Returns [`Cow::Borrowed`] — a reinterpretation of `buf` itself,
+    /// no copy and no allocation — when `buf`'s bytes already *are* a
+    /// valid `[Self]` (wire format equals memory layout and `buf` is
+    /// suitably aligned), and [`Cow::Owned`] with the
+    /// [`decode_slice`](Record::decode_slice) result otherwise. This
+    /// default always decodes; either way the records equal
+    /// `decode_slice`'s.
+    fn view_slice(buf: &[u8]) -> Cow<'_, [Self]> {
+        let mut out = Vec::new();
+        Self::decode_slice(buf, &mut out);
+        Cow::Owned(out)
     }
 }
 
@@ -234,6 +252,28 @@ impl Record for Element16 {
             }
         }
     }
+
+    /// Borrowed on little-endian targets when `buf` is 8-aligned (the
+    /// in-memory layout is the wire format); an owned decode otherwise.
+    fn view_slice(buf: &[u8]) -> Cow<'_, [Self]> {
+        debug_assert_eq!(buf.len() % Self::BYTES, 0, "partial record in buffer");
+        if cfg!(target_endian = "little") && buf.as_ptr().cast::<Self>().is_aligned() {
+            // SAFETY: the pointer is aligned for Element16 (checked
+            // above) and valid for `len / 16 * 16` bytes of `buf`;
+            // Element16 is two padding-free u64s (size asserted at
+            // compile time) so every bit pattern is valid and, on
+            // little-endian, equals the wire encoding. The view
+            // borrows `buf` immutably for its whole lifetime.
+            let recs = unsafe {
+                std::slice::from_raw_parts(buf.as_ptr().cast::<Self>(), buf.len() / Self::BYTES)
+            };
+            Cow::Borrowed(recs)
+        } else {
+            let mut out = Vec::new();
+            Self::decode_slice(buf, &mut out);
+            Cow::Owned(out)
+        }
+    }
 }
 
 /// SortBenchmark record: 10-byte key, 90-byte payload, 100 bytes total
@@ -347,6 +387,20 @@ impl Record for Record100 {
             );
             out.set_len(len + n);
         }
+    }
+
+    /// Always borrowed: the record is 100 align-1 bytes in wire order,
+    /// so any byte buffer is a valid `[Record100]` in place.
+    fn view_slice(buf: &[u8]) -> Cow<'_, [Self]> {
+        debug_assert_eq!(buf.len() % Self::BYTES, 0, "partial record in buffer");
+        // SAFETY: Record100 is repr(C) of [u8; 10] + [u8; 90] with
+        // size 100 and alignment 1 (asserted at compile time), so any
+        // `len / 100 * 100` bytes of `buf` are a valid, aligned
+        // `[Record100]`; the view borrows `buf` immutably.
+        let recs = unsafe {
+            std::slice::from_raw_parts(buf.as_ptr().cast::<Self>(), buf.len() / Self::BYTES)
+        };
+        Cow::Borrowed(recs)
     }
 }
 
@@ -497,5 +551,57 @@ mod tests {
             prop_assert_eq!(&out[..], &recs[..]);
             prop_assert_eq!(decode_each::<Record100>(&reference), recs);
         }
+
+        /// `view_slice` ≡ `decode_slice` for both record types, with
+        /// the buffer placed at an 8-aligned offset and at misaligned
+        /// ones: `Element16` borrows only when aligned (on
+        /// little-endian) and falls back to an owned decode otherwise;
+        /// `Record100` always borrows.
+        #[test]
+        fn view_slice_matches_decode_slice(
+            raw in prop::collection::vec(0u64..=u64::MAX, 0..40),
+        ) {
+            let elems: Vec<Element16> =
+                raw.iter().map(|&k| Element16::new(k, k.rotate_left(17))).collect();
+            let recs: Vec<Record100> = raw
+                .iter()
+                .map(|&k| {
+                    let mut bytes = [0u8; 100];
+                    for (i, b) in bytes.iter_mut().enumerate() {
+                        *b = (k.rotate_left(i as u32) >> 7) as u8;
+                    }
+                    Record100::decode(&bytes)
+                })
+                .collect();
+            for shift in [0usize, 1, 3, 4] {
+                let (backing, at) = placed(&encode_each(&elems), shift);
+                let buf = &backing[at..at + elems.len() * Element16::BYTES];
+                let view = Element16::view_slice(buf);
+                let mut decoded = Vec::new();
+                Element16::decode_slice(buf, &mut decoded);
+                prop_assert_eq!(&view[..], &decoded[..]);
+                prop_assert_eq!(&view[..], &elems[..]);
+                let borrowed = matches!(view, Cow::Borrowed(_));
+                prop_assert_eq!(borrowed, cfg!(target_endian = "little") && shift == 0);
+
+                let (backing, at) = placed(&encode_each(&recs), shift);
+                let buf = &backing[at..at + recs.len() * Record100::BYTES];
+                let view = Record100::view_slice(buf);
+                let mut decoded = Vec::new();
+                Record100::decode_slice(buf, &mut decoded);
+                prop_assert_eq!(&view[..], &decoded[..]);
+                prop_assert_eq!(&view[..], &recs[..]);
+                prop_assert!(matches!(view, Cow::Borrowed(_)));
+            }
+        }
+    }
+
+    /// `bytes` copied into a fresh buffer at `shift` bytes past an
+    /// 8-aligned offset; returns the buffer and that start offset.
+    fn placed(bytes: &[u8], shift: usize) -> (Vec<u8>, usize) {
+        let mut backing = vec![0u8; bytes.len() + 16];
+        let at = (8 - backing.as_ptr().addr() % 8) % 8 + shift;
+        backing[at..at + bytes.len()].copy_from_slice(bytes);
+        (backing, at)
     }
 }

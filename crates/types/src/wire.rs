@@ -88,7 +88,8 @@ impl<'a> WireReader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    /// The next `n` raw bytes, borrowed from the buffer.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(Error::comm(format!(
                 "truncated control frame: wanted {n} bytes at offset {}, have {}",
